@@ -18,7 +18,7 @@
 //! per host stays within the edge-uplink budget — at the default demand
 //! the all-pairs flow count oversubscribes uplinks once k ≥ 8.
 
-use eprons_bench::{banner, finish, quick, BASE_SEED};
+use eprons_bench::{banner, fat_tree_k_arg, finish, quick, BASE_SEED};
 use eprons_core::controller::{day_total_energy_j, save_day_csv, DayConfig};
 use eprons_core::optimizer::{aggregation_candidates, scale_factor_candidates};
 use eprons_core::report::Table;
@@ -28,40 +28,13 @@ use eprons_core::{
 };
 use eprons_topo::FatTree;
 
-/// The `--k <arity>` (or `--k=<arity>`) argument, if given.
-fn k_arg() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    let parse = |s: &str| {
-        s.parse::<usize>()
-            .ok()
-            .filter(|k| *k >= 4 && k % 2 == 0)
-            .unwrap_or_else(|| {
-                eprintln!("error: --k requires an even fat-tree arity >= 4, got {s:?}");
-                std::process::exit(2);
-            })
-    };
-    for (i, a) in args.iter().enumerate() {
-        if a == "--k" {
-            let Some(v) = args.get(i + 1) else {
-                eprintln!("error: --k requires an arity");
-                std::process::exit(2);
-            };
-            return Some(parse(v));
-        }
-        if let Some(v) = a.strip_prefix("--k=") {
-            return Some(parse(v));
-        }
-    }
-    None
-}
-
 fn main() {
     banner(
         "Failure day",
         "fault-injected diurnal day with graceful degradation (§IV-B)",
     );
     let mut cfg = ClusterConfig::default();
-    if let Some(k) = k_arg() {
+    if let Some(k) = fat_tree_k_arg() {
         cfg.fat_tree_k = k;
     }
     // Hold total query egress per host at 300 Mbps: one flow per peer

@@ -24,7 +24,7 @@
 //! the epoch internals are determinism-hardened), and the metrics land in
 //! `BENCH_flashcrowd.json` for the CI regression gate.
 
-use eprons_bench::{banner, finish, quick, BASE_SEED};
+use eprons_bench::{arg_value, banner, finish, quick, BASE_SEED};
 use eprons_core::controller::{
     day_churn_count, day_total_energy_j, day_transition_energy_j, save_day_csv, DayConfig,
     DayRecord,
@@ -54,22 +54,9 @@ fn sla_miss_epochs(records: &[DayRecord]) -> usize {
 /// committed `BENCH_flashcrowd.json` (CI quick runs point elsewhere so
 /// they never clobber the full-run artifact the gate reads).
 fn out_arg() -> std::path::PathBuf {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--out" {
-            match args.get(i + 1) {
-                Some(p) => return p.into(),
-                None => {
-                    eprintln!("error: --out requires a path");
-                    std::process::exit(2);
-                }
-            }
-        }
-        if let Some(p) = a.strip_prefix("--out=") {
-            return p.into();
-        }
-    }
-    "BENCH_flashcrowd.json".into()
+    arg_value("out", "a path")
+        .unwrap_or_else(|| "BENCH_flashcrowd.json".into())
+        .into()
 }
 
 fn main() {
@@ -77,6 +64,7 @@ fn main() {
         "Flash-crowd day",
         "online hysteresis + deferral vs. epoch-batch on an adversarial trace",
     );
+    let out = out_arg();
     let cfg = ClusterConfig::default();
     let crowd = FlashCrowd::reference();
     let window = crowd.ramp_window();
@@ -233,7 +221,6 @@ fn main() {
         online_j / batch_j,
         reduction >= CHURN_TARGET && online_j <= batch_j * (1.0 + 1.0e-6),
     );
-    let out = out_arg();
     std::fs::write(&out, json).unwrap_or_else(|e| {
         eprintln!("failed to write {}: {e}", out.display());
         std::process::exit(1);

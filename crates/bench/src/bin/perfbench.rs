@@ -61,7 +61,7 @@
 //! the telemetry journal and summary tables, like the fig binaries).
 
 use eprons_bench::harness::Runner;
-use eprons_bench::{banner, finish, quick, BASE_SEED};
+use eprons_bench::{arg_value, banner, finish, quick, BASE_SEED};
 use eprons_core::scenario::{ScenarioContext, ScenarioSpec};
 use eprons_core::{
     optimize_in_context_pruned, optimize_total_power, run_cluster, set_plan_cache_enabled,
@@ -82,25 +82,16 @@ use eprons_server::{clear_equiv_cache, equiv_cache_stats, ServiceModel, VpEngine
 use eprons_topo::{AggregationLevel, FatTree};
 
 fn out_path() -> std::path::PathBuf {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--out" {
-            if let Some(p) = args.get(i + 1) {
-                return p.into();
-            }
-            eprintln!("error: --out requires a path");
-            std::process::exit(2);
-        }
-        if let Some(p) = a.strip_prefix("--out=") {
-            return p.into();
-        }
+    match arg_value("out", "a path") {
+        Some(p) => p.into(),
+        // crates/bench/../../ = repo root.
+        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_cluster.json"),
     }
-    // crates/bench/../../ = repo root.
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_cluster.json")
 }
 
 fn main() {
     banner("perfbench", "tracked wall-clock benchmarks");
+    let path = out_path();
     let mut r = Runner::from_env();
     let host_threads = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -728,7 +719,6 @@ fn main() {
             ]),
         ),
     ]);
-    let path = out_path();
     std::fs::write(&path, format!("{report}\n")).unwrap_or_else(|e| {
         eprintln!("failed to write {}: {e}", path.display());
         std::process::exit(1);

@@ -25,14 +25,14 @@
 //! * full mode only: incremental wall-clock is >= 4x faster than
 //!   per-epoch rebuild.
 //!
-//! The incremental timeline lands in `results/replay_day.csv`
-//! (bit-identical across reruns), and the metrics land in
-//! `BENCH_replay.json` for the CI regression gate.
+//! The incremental timeline lands in `results/replay_day.csv` (or at
+//! `--csv <path>`; bit-identical across reruns), and the metrics land
+//! in `BENCH_replay.json` for the CI regression gate.
 
 use std::time::Instant;
 
 use eprons_bench::harness::{format_secs, Runner, Sample};
-use eprons_bench::{banner, finish, quick, BASE_SEED};
+use eprons_bench::{arg_value, banner, fat_tree_k_arg, finish, quick, BASE_SEED};
 use eprons_core::controller::{day_total_energy_j, save_day_csv, DayConfig, DayRecord};
 use eprons_core::optimizer::{aggregation_candidates, scale_factor_candidates};
 use eprons_core::report::Table;
@@ -43,54 +43,22 @@ use eprons_core::{
 use eprons_obs::Json;
 use eprons_topo::FatTree;
 
-/// The `--k <arity>` (or `--k=<arity>`) argument; defaults to 16 (the
-/// headline 1024-server replay).
-fn k_arg() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let parse = |s: &str| {
-        s.parse::<usize>()
-            .ok()
-            .filter(|k| *k >= 4 && k % 2 == 0)
-            .unwrap_or_else(|| {
-                eprintln!("error: --k requires an even fat-tree arity >= 4, got {s:?}");
-                std::process::exit(2);
-            })
-    };
-    for (i, a) in args.iter().enumerate() {
-        if a == "--k" {
-            let Some(v) = args.get(i + 1) else {
-                eprintln!("error: --k requires an arity");
-                std::process::exit(2);
-            };
-            return parse(v);
-        }
-        if let Some(v) = a.strip_prefix("--k=") {
-            return parse(v);
-        }
-    }
-    16
-}
-
 /// The `--out <path>` (or `--out=<path>`) argument; defaults to the
 /// committed `BENCH_replay.json` (CI quick runs point elsewhere so they
 /// never clobber the full-run artifact the gate reads).
 fn out_arg() -> std::path::PathBuf {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--out" {
-            match args.get(i + 1) {
-                Some(p) => return p.into(),
-                None => {
-                    eprintln!("error: --out requires a path");
-                    std::process::exit(2);
-                }
-            }
-        }
-        if let Some(p) = a.strip_prefix("--out=") {
-            return p.into();
-        }
-    }
-    "BENCH_replay.json".into()
+    arg_value("out", "a path")
+        .unwrap_or_else(|| "BENCH_replay.json".into())
+        .into()
+}
+
+/// The `--csv <path>` (or `--csv=<path>`) argument: where the incremental
+/// timeline goes. Defaults to the committed `results/replay_day.csv`, so
+/// quick and CI runs pass a scratch path instead.
+fn csv_arg() -> std::path::PathBuf {
+    arg_value("csv", "a path")
+        .unwrap_or_else(|| "results/replay_day.csv".into())
+        .into()
 }
 
 /// Times one full day simulation and records it as a one-shot sample.
@@ -127,6 +95,9 @@ fn main() {
         "Replay day",
         "incremental day-scoped evaluation vs per-epoch rebuild on a committed trace",
     );
+    // Output paths are read up front so a malformed flag fails before
+    // the days run, not after.
+    let (out, csv) = (out_arg(), csv_arg());
     // Telemetry stays on even without --journal: the artifact reports
     // the day-cache counters, which only tick while obs is enabled. The
     // overhead applies to both timed runs equally.
@@ -144,7 +115,7 @@ fn main() {
     .expect("load replay_bg.trace");
 
     let mut cfg = ClusterConfig {
-        fat_tree_k: k_arg(),
+        fat_tree_k: fat_tree_k_arg().unwrap_or(16),
         ..ClusterConfig::default()
     };
     // Same egress cap as failure_day: one flow per peer means per-flow
@@ -311,9 +282,13 @@ fn main() {
     const SPEEDUP_TARGET: f64 = 4.0;
     let met = bit_identical && speedup >= SPEEDUP_TARGET;
 
-    std::fs::create_dir_all("results").expect("create results/");
-    let csv = std::path::Path::new("results/replay_day.csv");
-    save_day_csv(&incremental, csv).expect("write timeline CSV");
+    if let Some(dir) = csv.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).expect("create the timeline's directory");
+    }
+    save_day_csv(&incremental, &csv).unwrap_or_else(|e| {
+        eprintln!("failed to write {}: {e}", csv.display());
+        std::process::exit(1);
+    });
     println!("timeline written to {}", csv.display());
 
     // Machine-readable artifact for the CI gate (committed from a full
@@ -362,7 +337,6 @@ fn main() {
         ("bit_identical".into(), Json::Bool(bit_identical)),
         ("energy_j".into(), Json::Num(rebuild_j)),
     ]);
-    let out = out_arg();
     std::fs::write(&out, format!("{report}\n")).unwrap_or_else(|e| {
         eprintln!("failed to write {}: {e}", out.display());
         std::process::exit(1);

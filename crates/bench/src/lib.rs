@@ -57,24 +57,50 @@ pub fn pct_or_na(rate: Option<f64>) -> String {
     }
 }
 
-/// The `--journal <path>` (or `--journal=<path>`) argument, if given.
-pub fn journal_path() -> Option<PathBuf> {
+/// The value of `--<name> <value>` (or `--<name>=<value>`) on the
+/// command line, if given; the first occurrence wins. A trailing bare
+/// `--<name>` prints `error: --<name> requires <what>` and exits with
+/// status 2.
+pub fn arg_value(name: &str, what: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
+    find_arg(&args, name).unwrap_or_else(|()| {
+        eprintln!("error: --{name} requires {what}");
+        std::process::exit(2);
+    })
+}
+
+/// [`arg_value`] over an explicit argument list; `Err` when the flag is
+/// the last argument and has no value.
+fn find_arg(args: &[String], name: &str) -> Result<Option<String>, ()> {
+    let flag = format!("--{name}");
+    let eq = format!("--{name}=");
     for (i, a) in args.iter().enumerate() {
-        if a == "--journal" {
-            match args.get(i + 1) {
-                Some(p) => return Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --journal requires a path");
-                    std::process::exit(2);
-                }
-            }
+        if *a == flag {
+            return args.get(i + 1).cloned().map(Some).ok_or(());
         }
-        if let Some(p) = a.strip_prefix("--journal=") {
-            return Some(PathBuf::from(p));
+        if let Some(v) = a.strip_prefix(&eq) {
+            return Ok(Some(v.to_string()));
         }
     }
-    None
+    Ok(None)
+}
+
+/// The `--k <arity>` (or `--k=<arity>`) fat-tree arity, if given. Anything
+/// but an even number >= 4 is an error (exit status 2).
+pub fn fat_tree_k_arg() -> Option<usize> {
+    let v = arg_value("k", "an arity")?;
+    match v.parse::<usize>() {
+        Ok(k) if k >= 4 && k % 2 == 0 => Some(k),
+        _ => {
+            eprintln!("error: --k requires an even fat-tree arity >= 4, got {v:?}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The `--journal <path>` (or `--journal=<path>`) argument, if given.
+pub fn journal_path() -> Option<PathBuf> {
+    arg_value("journal", "a path").map(PathBuf::from)
 }
 
 /// Standard harness banner. Enables telemetry when `--journal` was given,
@@ -128,6 +154,25 @@ mod tests {
         assert_eq!(pct_or_na(Some(0.0512)), "5.12");
         assert_eq!(pct_or_na(Some(0.0)), "0.00");
         assert_eq!(pct_or_na(None), "n/a");
+    }
+
+    #[test]
+    fn find_arg_accepts_both_forms() {
+        let args = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let a = args(&["bin", "--quick", "--out", "x.json", "--k=8"]);
+        assert_eq!(find_arg(&a, "out"), Ok(Some("x.json".into())));
+        assert_eq!(find_arg(&a, "k"), Ok(Some("8".into())));
+        assert_eq!(find_arg(&a, "csv"), Ok(None));
+        // First occurrence wins; a prefix of another flag is not a match.
+        let a = args(&["bin", "--out=a", "--out", "b", "--outfile", "c"]);
+        assert_eq!(find_arg(&a, "out"), Ok(Some("a".into())));
+        assert_eq!(find_arg(&args(&["bin", "--outfile", "c"]), "out"), Ok(None));
+        // A bare trailing flag has no value.
+        assert_eq!(find_arg(&args(&["bin", "--journal"]), "journal"), Err(()));
+        assert_eq!(
+            find_arg(&args(&["bin", "--journal="]), "journal"),
+            Ok(Some(String::new()))
+        );
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! context is already in hand (the day controller builds one per epoch);
 //! the template-taking entry points build it for you.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
+use eprons_net::flow::Flow;
+use eprons_net::PathArena;
 use eprons_topo::{AggregationLevel, LinkId, MultipathTopology, NodeId};
 
 use crate::cluster::{ClusterError, ClusterRun, ClusterRunResult, ConsolidationSpec};
@@ -248,89 +250,97 @@ pub fn candidate_power_floor_w(
             cfg.net_power.power_w_for_counts(on.len(), links)
         }
         ConsolidationSpec::GreedyK(_) => {
-            let mut m_sw: HashSet<NodeId> = HashSet::new();
-            let mut m_ln: HashSet<LinkId> = HashSet::new();
-            let mut seen: HashSet<(NodeId, NodeId)> = HashSet::new();
-            // In the shared-segment arena a pair's interior candidates
-            // are a pure function of its ordered (access-src, access-dst)
-            // switch pair, so the candidate intersection collapses to one
-            // walk per access class (O((k²/2)²) classes) instead of one
-            // per host pair (O(hosts²) — the dominant cost of every bound
-            // at k ≥ 16). The per-pair leftovers are exactly the two host
-            // links, mandatory in any candidate of a single-homed fabric.
-            // A per-pair store has no class structure: keep the direct
-            // walk there (and for the no-candidate degenerate pair).
-            let shared = d.arena.is_shared();
-            let mut class: HashMap<(NodeId, NodeId), (Vec<NodeId>, Vec<LinkId>)> = HashMap::new();
-            let mut nodes_buf: Vec<NodeId> = Vec::new();
-            let mut links_buf: Vec<LinkId> = Vec::new();
-            for fl in d.flows.flows() {
-                if !seen.insert((fl.src, fl.dst)) {
-                    continue; // same pair ⇒ same candidate paths
-                }
-                if shared
-                    && d.arena
-                        .nth_candidate_into(fl.src, fl.dst, 0, &mut nodes_buf, &mut links_buf)
-                    && nodes_buf.len() >= 3
-                {
-                    let acc = (nodes_buf[1], nodes_buf[nodes_buf.len() - 2]);
-                    let (csw, cln) = class.entry(acc).or_insert_with(|| {
-                        let mut sw: Vec<NodeId> = Vec::new();
-                        let mut ln: Vec<LinkId> = Vec::new();
-                        let mut first = true;
-                        d.arena.for_each_candidate(fl.src, fl.dst, &mut |p| {
-                            let interior_ln = &p.links[1..p.links.len() - 1];
-                            if first {
-                                sw.extend_from_slice(p.interior());
-                                ln.extend_from_slice(interior_ln);
-                                first = false;
-                            } else {
-                                let psw: HashSet<NodeId> = p.interior().iter().copied().collect();
-                                let pln: HashSet<LinkId> = interior_ln.iter().copied().collect();
-                                sw.retain(|x| psw.contains(x));
-                                ln.retain(|x| pln.contains(x));
-                            }
-                        });
-                        (sw, ln)
-                    });
-                    m_sw.extend(csw.iter().copied());
-                    m_ln.extend(cln.iter().copied());
-                    m_ln.insert(links_buf[0]);
-                    m_ln.insert(links_buf[links_buf.len() - 1]);
-                    continue;
-                }
-                // Intersect interior switches / links across the pair's
-                // candidates without materializing them (borrowed walk
-                // straight out of the arena's segment store).
-                let mut sw: HashSet<NodeId> = HashSet::new();
-                let mut ln: HashSet<LinkId> = HashSet::new();
-                let mut first = true;
-                d.arena.for_each_candidate(fl.src, fl.dst, &mut |p| {
-                    if first {
-                        sw.extend(p.interior().iter().copied());
-                        ln.extend(p.hops().map(|(_, _, l)| l));
-                        first = false;
-                    } else {
-                        let psw: HashSet<NodeId> = p.interior().iter().copied().collect();
-                        let pln: HashSet<LinkId> = p.hops().map(|(_, _, l)| l).collect();
-                        sw.retain(|x| psw.contains(x));
-                        ln.retain(|x| pln.contains(x));
-                    }
-                });
-                m_sw.extend(sw);
-                m_ln.extend(ln);
-            }
-            // Masked elements can never be powered (a flow whose mandatory
-            // hardware is dead makes the candidate fail instead).
-            m_sw.retain(|n| !masked.contains(n));
-            m_ln.retain(|&l| {
-                let lk = topo.link(l);
-                !masked.contains(&lk.a) && !masked.contains(&lk.b)
-            });
-            cfg.net_power.power_w_for_counts(m_sw.len(), m_ln.len())
+            let (sw, ln) = mandatory_counts(&d.arena, d.flows.flows(), excluded);
+            cfg.net_power.power_w_for_counts(sw, ln)
         }
     };
     server_floor + net_floor
+}
+
+/// Switches and links that every routing of `flows` over `arena` must
+/// power, less the `excluded` switches and their links: `(switches,
+/// links)`, the element counts behind the `GreedyK` power floor.
+///
+/// A host pair's mandatory elements are those in all of its candidate
+/// paths. On the shared-segment store that is the pair's two uplinks plus
+/// its access pair's precomputed mandatory segment, so one pass marks the
+/// used access pairs and uplinks in flat vectors and a second unions the
+/// used pairs' segments (no per-flow hashing). A per-pair store (or a
+/// pair the table cannot resolve) intersects its candidates directly,
+/// once per distinct host pair.
+fn mandatory_counts<T: MultipathTopology>(
+    arena: &PathArena<T>,
+    flows: &[Flow],
+    excluded: &[NodeId],
+) -> (usize, usize) {
+    let topo = arena.topology();
+    let mut on_sw = vec![false; topo.num_nodes()];
+    let mut on_ln = vec![false; topo.num_links()];
+    let table = arena.mandatory_segments();
+    let mut used = vec![false; table.map_or(0, |t| t.num_pairs())];
+    let mut direct: HashSet<(NodeId, NodeId)> = HashSet::new();
+    for fl in flows {
+        match table.and_then(|t| t.access_pair(fl.src, fl.dst)) {
+            Some(ap) => {
+                used[ap.pair] = true;
+                on_ln[ap.src_uplink.0] = true;
+                on_ln[ap.dst_uplink.0] = true;
+            }
+            None => {
+                if direct.insert((fl.src, fl.dst)) {
+                    mark_candidate_intersection(arena, fl.src, fl.dst, &mut on_sw, &mut on_ln);
+                }
+            }
+        }
+    }
+    if let Some(t) = table {
+        for (pair, _) in used.iter().enumerate().filter(|(_, &u)| u) {
+            t.nodes(pair).for_each(|n| on_sw[n.0] = true);
+            t.links(pair).for_each(|l| on_ln[l.0] = true);
+        }
+    }
+    // Masked elements can never be powered (a flow whose mandatory
+    // hardware is dead makes the candidate fail instead).
+    let mut dead = vec![false; topo.num_nodes()];
+    for n in excluded {
+        dead[n.0] = true;
+    }
+    let switches = on_sw
+        .iter()
+        .zip(&dead)
+        .filter(|&(&on, &d)| on && !d)
+        .count();
+    let links = topo
+        .links()
+        .filter(|(l, lk)| on_ln[l.0] && !dead[lk.a.0] && !dead[lk.b.0])
+        .count();
+    (switches, links)
+}
+
+/// Marks the interior nodes and the links common to every candidate path
+/// of `(src, dst)` (nothing if it has no candidate).
+fn mark_candidate_intersection(
+    topo: &dyn MultipathTopology,
+    src: NodeId,
+    dst: NodeId,
+    on_sw: &mut [bool],
+    on_ln: &mut [bool],
+) {
+    let mut sw: Vec<NodeId> = Vec::new();
+    let mut ln: Vec<LinkId> = Vec::new();
+    let mut first = true;
+    topo.for_each_candidate(src, dst, &mut |p| {
+        if first {
+            sw.extend_from_slice(p.interior());
+            ln.extend_from_slice(p.links);
+            first = false;
+        } else {
+            sw.retain(|x| p.interior().contains(x));
+            ln.retain(|x| p.links.contains(x));
+        }
+    });
+    sw.iter().for_each(|n| on_sw[n.0] = true);
+    ln.iter().for_each(|l| on_ln[l.0] = true);
 }
 
 /// [`optimize_in_context_masked`] with lower-bound pruning and
@@ -380,8 +390,8 @@ pub fn optimize_in_context_pruned(
         .iter()
         .map(|&spec| match spec {
             ConsolidationSpec::GreedyK(_) => *greedy_floor
-                .get_or_insert_with(|| ctx.floor_cached(scheme, spec, excluded)),
-            _ => ctx.floor_cached(scheme, spec, excluded),
+                .get_or_insert_with(|| candidate_power_floor_w(ctx, scheme, spec, excluded)),
+            _ => candidate_power_floor_w(ctx, scheme, spec, excluded),
         })
         .collect();
     drop(bounds_span);
@@ -614,6 +624,10 @@ pub fn adaptive_k_in_context_hinted(
 mod tests {
     use super::*;
     use crate::cluster::ServerScheme;
+    use crate::scenario::ScenarioSpec;
+    use eprons_net::flow::FlowSet;
+    use eprons_net::FlowClass;
+    use eprons_topo::{LeafSpine, NodeKind, Path, Topology};
 
     fn template() -> ClusterRun {
         ClusterRun {
@@ -624,6 +638,254 @@ mod tests {
             duration_s: 4.0,
             warmup_s: 0.0,
             seed: 7,
+        }
+    }
+
+    /// Brute-force oracle for [`mandatory_counts`]: intersects every
+    /// distinct host pair's candidates (hash sets over a
+    /// `for_each_candidate` walk), then, per mask, drops masked switches
+    /// and their links.
+    fn oracle_counts(
+        topo: &dyn MultipathTopology,
+        flows: &[Flow],
+        masks: &[Vec<NodeId>],
+    ) -> Vec<(usize, usize)> {
+        let mut m_sw: HashSet<NodeId> = HashSet::new();
+        let mut m_ln: HashSet<LinkId> = HashSet::new();
+        let mut seen: HashSet<(NodeId, NodeId)> = HashSet::new();
+        for fl in flows {
+            if !seen.insert((fl.src, fl.dst)) {
+                continue;
+            }
+            let mut common: Option<(HashSet<NodeId>, HashSet<LinkId>)> = None;
+            topo.for_each_candidate(fl.src, fl.dst, &mut |p| {
+                let psw: HashSet<NodeId> = p.interior().iter().copied().collect();
+                let pln: HashSet<LinkId> = p.links.iter().copied().collect();
+                match &mut common {
+                    None => common = Some((psw, pln)),
+                    Some((sw, ln)) => {
+                        sw.retain(|x| psw.contains(x));
+                        ln.retain(|x| pln.contains(x));
+                    }
+                }
+            });
+            if let Some((sw, ln)) = common {
+                m_sw.extend(sw);
+                m_ln.extend(ln);
+            }
+        }
+        let t = topo.topology();
+        masks
+            .iter()
+            .map(|mask| {
+                let sw = m_sw.iter().filter(|n| !mask.contains(n)).count();
+                let ln = m_ln
+                    .iter()
+                    .filter(|&&l| !mask.contains(&t.link(l).a) && !mask.contains(&t.link(l).b))
+                    .count();
+                (sw, ln)
+            })
+            .collect()
+    }
+
+    /// Asserts [`mandatory_counts`] equals the oracle under every mask and
+    /// returns the oracle's counts.
+    fn assert_counts_match<T: MultipathTopology>(
+        arena: &PathArena<T>,
+        flows: &[Flow],
+        masks: &[Vec<NodeId>],
+    ) -> Vec<(usize, usize)> {
+        let oracle = oracle_counts(arena, flows, masks);
+        for (mask, want) in masks.iter().zip(&oracle) {
+            assert_eq!(mandatory_counts(arena, flows, mask), *want, "mask={mask:?}");
+        }
+        oracle
+    }
+
+    /// Every ordered host pair once, plus a repeat of each source's
+    /// first pair (duplicates must not change the counts).
+    fn all_pair_flows(hosts: &[NodeId]) -> FlowSet {
+        let mut fs = FlowSet::new();
+        for &a in hosts {
+            for &b in hosts {
+                if a != b {
+                    fs.add(a, b, 1.0, FlowClass::LatencySensitive);
+                }
+            }
+            if let Some(&b) = hosts.iter().find(|&&b| b != a) {
+                fs.add(a, b, 5.0, FlowClass::LatencyTolerant);
+            }
+        }
+        fs
+    }
+
+    #[test]
+    fn greedy_floor_matches_brute_force_oracle_on_fat_trees() {
+        let schemes = ServerScheme::ALL
+            .into_iter()
+            .chain([ServerScheme::DeepSleep]);
+        for k in [4usize, 8, 12] {
+            let cfg = ClusterConfig {
+                fat_tree_k: k,
+                ..ClusterConfig::default()
+            };
+            let spec = ScenarioSpec {
+                server_utilization: 0.2,
+                background_util: 0.1,
+                duration_s: 0.2,
+                warmup_s: 0.0,
+                seed: 11,
+            };
+            let ctx = ScenarioContext::build(&cfg, &spec);
+            let ft = &ctx.data.ft;
+            let masks = [
+                vec![],
+                vec![ft.core_switches()[0]],
+                vec![ft.edge_switches()[1]],
+                vec![ft.agg_switches()[2], ft.core_switches()[k / 2]],
+            ];
+            let oracle = assert_counts_match(&ctx.data.arena, ctx.data.flows.flows(), &masks);
+            for (mask, &(sw, ln)) in masks.iter().zip(&oracle) {
+                for scheme in schemes.clone() {
+                    let oracle = ctx.num_servers() as f64
+                        * cfg.cpu.server_w(scheme_idle_floor_w(&cfg, scheme))
+                        + cfg.net_power.power_w_for_counts(sw, ln);
+                    for kk in [1.0, 2.0] {
+                        let floor = candidate_power_floor_w(
+                            &ctx,
+                            scheme,
+                            ConsolidationSpec::GreedyK(kk),
+                            mask,
+                        );
+                        assert_eq!(
+                            floor.to_bits(),
+                            oracle.to_bits(),
+                            "k={k} mask={mask:?} {}: {floor} vs oracle {oracle}",
+                            scheme.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mandatory_counts_match_oracle_on_a_leaf_spine() {
+        let ls = LeafSpine::new(4, 3, 3, 1000.0);
+        let arena = PathArena::build(&ls);
+        assert!(arena.is_shared());
+        let flows = all_pair_flows(arena.host_list());
+        let masks = [
+            vec![],
+            vec![ls.spines()[0]],
+            vec![ls.leaves()[1]],
+            vec![ls.leaves()[2], ls.spines()[1]],
+        ];
+        assert_counts_match(&arena, flows.flows(), &masks);
+        // A single spine makes the whole leaf-spine-leaf path mandatory.
+        let one = LeafSpine::new(3, 1, 2, 1000.0);
+        let arena = PathArena::build(&one);
+        let flows = all_pair_flows(arena.host_list());
+        assert_eq!(mandatory_counts(&arena, flows.flows(), &[]), (4, 9));
+    }
+
+    /// Two hosts, both dual-homed to two switches: the arena takes the
+    /// per-pair store, so the counts come from the direct walk.
+    #[derive(Debug)]
+    struct DualHomed {
+        topo: Topology,
+        hosts: Vec<NodeId>,
+        switches: Vec<NodeId>,
+    }
+
+    impl DualHomed {
+        fn new() -> Self {
+            let mut topo = Topology::new();
+            let a = topo.add_node(NodeKind::Host, "a");
+            let b = topo.add_node(NodeKind::Host, "b");
+            let s1 = topo.add_node(NodeKind::EdgeSwitch, "s1");
+            let s2 = topo.add_node(NodeKind::EdgeSwitch, "s2");
+            let s3 = topo.add_node(NodeKind::CoreSwitch, "s3");
+            for (x, y) in [(a, s1), (a, s2), (b, s1), (b, s2), (s1, s3), (s2, s3)] {
+                topo.add_link(x, y, 1000.0);
+            }
+            DualHomed {
+                topo,
+                hosts: vec![a, b],
+                switches: vec![s1, s2, s3],
+            }
+        }
+    }
+
+    impl MultipathTopology for DualHomed {
+        fn topology(&self) -> &Topology {
+            &self.topo
+        }
+
+        fn host_list(&self) -> &[NodeId] {
+            &self.hosts
+        }
+
+        /// Via `s1`, via `s2`, and the detour `s1 → s3 → s2`: `s1` and
+        /// the source's link to it are in two of three paths, nothing
+        /// interior is in all of them.
+        fn candidate_paths(&self, src: NodeId, dst: NodeId) -> Vec<Path> {
+            let [s1, s2, s3] = [self.switches[0], self.switches[1], self.switches[2]];
+            [
+                vec![src, s1, dst],
+                vec![src, s2, dst],
+                vec![src, s1, s3, s2, dst],
+            ]
+            .into_iter()
+            .map(|nodes| Path {
+                links: nodes
+                    .windows(2)
+                    .map(|w| self.topo.link_between(w[0], w[1]).unwrap())
+                    .collect(),
+                nodes,
+            })
+            .collect()
+        }
+    }
+
+    #[test]
+    fn per_pair_store_keeps_the_direct_walk() {
+        let fabric = DualHomed::new();
+        let arena = PathArena::build(&fabric);
+        assert!(!arena.is_shared());
+        let flows = all_pair_flows(&fabric.hosts);
+        let masks = [vec![], vec![fabric.switches[0]], vec![fabric.switches[2]]];
+        assert_eq!(
+            assert_counts_match(&arena, flows.flows(), &masks)[0],
+            (0, 0)
+        );
+        // Single-path variant: every element of the one path is mandatory
+        // (`s1` and its two host links), and masking `s1` drops them all.
+        let single = PathArena::build(SinglePath(DualHomed::new()));
+        assert!(!single.is_shared());
+        let counts = assert_counts_match(&single, flows.flows(), &masks);
+        assert_eq!(counts, vec![(1, 2), (0, 0), (1, 2)]);
+    }
+
+    /// [`DualHomed`] restricted to the candidate via `s1`.
+    #[derive(Debug)]
+    struct SinglePath(DualHomed);
+
+    impl MultipathTopology for SinglePath {
+        fn topology(&self) -> &Topology {
+            self.0.topology()
+        }
+
+        fn host_list(&self) -> &[NodeId] {
+            self.0.host_list()
+        }
+
+        fn candidate_paths(&self, src: NodeId, dst: NodeId) -> Vec<Path> {
+            self.0
+                .candidate_paths(src, dst)
+                .into_iter()
+                .take(1)
+                .collect()
         }
     }
 

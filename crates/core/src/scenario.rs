@@ -49,7 +49,7 @@ use eprons_net::{
 use eprons_server::policy::DvfsPolicy;
 use eprons_server::request::budget_with_network_slack;
 use eprons_server::{
-    service_fingerprint, serveval_memo_enabled, simulate_core_memoized, ArrivalSpec, AvgVpPolicy,
+    serveval_memo_enabled, service_fingerprint, simulate_core_memoized, ArrivalSpec, AvgVpPolicy,
     CoreSimConfig, DeepSleepPolicy, MaxFreqPolicy, MaxVpPolicy, ServiceModel, TimeTraderPolicy,
     VpEngine,
 };
@@ -154,12 +154,6 @@ type EvalKey = (u8, PlanKey);
 /// evaluation deterministically fails with.
 type EvalOutcome = Result<ClusterRunResult, ClusterError>;
 
-/// Memo key for one candidate power floor: (scheme, candidate tag,
-/// candidate bits, mask). `GreedyK` collapses its `K` bits to 0 — the
-/// bound counts mandatory elements only, so every rung of a K ladder
-/// shares one floor (mirroring the optimizer's per-ladder sharing).
-type FloorKey = (u8, u8, u64, Vec<usize>);
-
 /// The axes a [`ScenarioContext`] is keyed by: everything in a
 /// [`ClusterRun`] except the per-candidate network configuration and the
 /// per-evaluation server scheme (neither feeds the workload build).
@@ -220,11 +214,6 @@ pub(crate) struct ScenarioData {
     /// of its key given this context, so hits are bit-identical to
     /// re-runs.
     pub(crate) eval_cache: Mutex<HashMap<EvalKey, Arc<EvalOutcome>>>,
-    /// Memoized candidate power floors (pure, always on): the optimizer
-    /// recomputes its pruning bounds every search otherwise, and at
-    /// k ≥ 16 the GreedyK mandatory-element walk is the search's largest
-    /// serial cost on a warm context.
-    pub(crate) floor_cache: Mutex<HashMap<FloorKey, f64>>,
     pub(crate) hosts: Vec<NodeId>,
     pub(crate) service: Arc<ServiceModel>,
     pub(crate) mean_service_s: f64,
@@ -378,7 +367,6 @@ impl ScenarioContext {
                 arena: Arc::new(arena),
                 plan_cache: Mutex::new(HashMap::new()),
                 eval_cache: Mutex::new(HashMap::new()),
-                floor_cache: Mutex::new(HashMap::new()),
                 hosts,
                 service: Arc::new(service),
                 mean_service_s,
@@ -494,7 +482,6 @@ impl ScenarioContext {
                 arena: Arc::clone(&d.arena),
                 plan_cache: Mutex::new(HashMap::new()),
                 eval_cache: Mutex::new(HashMap::new()),
-                floor_cache: Mutex::new(HashMap::new()),
                 hosts: d.hosts.clone(),
                 service: Arc::clone(&d.service),
                 mean_service_s: d.mean_service_s,
@@ -629,11 +616,10 @@ impl ScenarioContext {
         let result = match cached {
             Some(outcome) => outcome?,
             None => {
-                let outcome: EvalOutcome =
-                    self.plan_masked(consolidation, excluded).map(|plan| {
-                        let eval = ServerEvaluation::run(self, &plan, scheme);
-                        crate::accounting::assemble(self, &plan, &eval)
-                    });
+                let outcome: EvalOutcome = self.plan_masked(consolidation, excluded).map(|plan| {
+                    let eval = ServerEvaluation::run(self, &plan, scheme);
+                    crate::accounting::assemble(self, &plan, &eval)
+                });
                 if let Some(key) = miss_key {
                     self.data
                         .eval_cache
@@ -736,46 +722,6 @@ impl ScenarioContext {
             .lock()
             .expect("eval cache poisoned")
             .len()
-    }
-
-    /// [`crate::optimizer::candidate_power_floor_w`] through the
-    /// per-context floor memo. The floor is a pure function of (scheme,
-    /// candidate, mask) given this context's flow set, so caching is
-    /// invisible to the optimizer's pruning decisions; it just stops a
-    /// revived day-cache slot from re-walking the arena for bounds it
-    /// has already computed. `GreedyK` keys collapse `K` (the bound
-    /// counts mandatory elements only, shared by the whole ladder).
-    pub(crate) fn floor_cached(
-        &self,
-        scheme: ServerScheme,
-        spec: ConsolidationSpec,
-        excluded: &[NodeId],
-    ) -> f64 {
-        let (tag, bits) = match spec {
-            ConsolidationSpec::AllOn => (0u8, 0u64),
-            ConsolidationSpec::Level(l) => (1, l as u64),
-            ConsolidationSpec::GreedyK(_) => (2, 0),
-        };
-        let mut mask: Vec<usize> = excluded.iter().map(|n| n.0).collect();
-        mask.sort_unstable();
-        mask.dedup();
-        let key: FloorKey = (scheme_index(scheme), tag, bits, mask);
-        if let Some(&w) = self
-            .data
-            .floor_cache
-            .lock()
-            .expect("floor cache poisoned")
-            .get(&key)
-        {
-            return w;
-        }
-        let w = crate::optimizer::candidate_power_floor_w(self, scheme, spec, excluded);
-        self.data
-            .floor_cache
-            .lock()
-            .expect("floor cache poisoned")
-            .insert(key, w);
-        w
     }
 
     /// Fans `candidates` out over the thread budget, evaluating each one
@@ -903,9 +849,7 @@ impl DayContext {
         };
         self.misses.fetch_add(1, Ordering::Relaxed);
         if obs_on {
-            eprons_obs::registry()
-                .counter("core.daycache.misses")
-                .inc();
+            eprons_obs::registry().counter("core.daycache.misses").inc();
         }
         slots.push((key, ctx.clone()));
         if slots.len() > self.max_slots {

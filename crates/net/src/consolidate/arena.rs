@@ -21,8 +21,20 @@
 //! `(k²/4)²` entries instead of `(k³/4)²` — and assembles full paths on
 //! demand from contiguous `u32` slices. Any topology with a multi-homed
 //! host falls back to per-host-pair owned paths.
+//!
+//! # Mandatory segments
+//!
+//! The same factoring makes "which hardware does *every* candidate of
+//! this host pair use?" a question about access pairs too: the interior
+//! nodes and links common to all candidates of `(src, dst)` are the
+//! intersection over its access pair's interior segments, and the two
+//! host uplinks are in every candidate. [`PathArena::mandatory_segments`]
+//! answers it from one flat table per arena, built on first use and
+//! shared by every holder of the arena (the optimizer's power floor is
+//! the consumer).
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use eprons_topo::{LinkId, MultipathTopology, NodeId, Path, PathRef, Topology};
 
@@ -42,20 +54,83 @@ struct SharedStore {
     /// Ordered access pair `i * n_acc + j` → candidate-id range
     /// `pair_off[p]..pair_off[p + 1]`.
     pair_off: Vec<u32>,
-    /// Candidate id → interior-node range in `seg_nodes`.
-    cand_node_off: Vec<u32>,
-    /// Candidate id → interior-link range in `seg_links`.
-    cand_link_off: Vec<u32>,
-    seg_nodes: Vec<u32>,
-    seg_links: Vec<u32>,
+    /// Candidate id → its interior node segment (one row each).
+    seg_nodes: FlatRows,
+    /// Candidate id → its interior link segment.
+    seg_links: FlatRows,
     /// Longest interior node segment — sizes assembly scratch exactly.
     max_seg: usize,
+    /// Per access pair: the interior ids common to all its candidates.
+    /// Derived from the segments above on first use (boxed: the store
+    /// sits inline in [`Store`]).
+    mandatory: OnceLock<Box<MandatoryTable>>,
+}
+
+/// Rows of `u32` ids stored flat: row `r` is `ids[off[r]..off[r + 1]]`.
+#[derive(Debug, Clone)]
+struct FlatRows {
+    off: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl FlatRows {
+    fn new() -> Self {
+        FlatRows {
+            off: vec![0],
+            ids: Vec::new(),
+        }
+    }
+
+    fn row(&self, r: usize) -> &[u32] {
+        &self.ids[self.off[r] as usize..self.off[r + 1] as usize]
+    }
+
+    /// Closes the row whose ids were appended since the last call.
+    fn end_row(&mut self) {
+        self.off.push(self.ids.len() as u32);
+    }
+}
+
+/// Ordered access pair → interior nodes and links present in every one
+/// of the pair's candidates (one row per pair).
+#[derive(Debug, Clone)]
+struct MandatoryTable {
+    nodes: FlatRows,
+    links: FlatRows,
+}
+
+/// Appends to `out` the ids of `first` (deduplicated, in order) that also
+/// occur in every segment of `rest`.
+fn intersect_segments<'s>(
+    first: &[u32],
+    rest: impl Iterator<Item = &'s [u32]>,
+    out: &mut Vec<u32>,
+) {
+    let start = out.len();
+    for &v in first {
+        if !out[start..].contains(&v) {
+            out.push(v);
+        }
+    }
+    for seg in rest {
+        if out.len() == start {
+            break;
+        }
+        let mut keep = start;
+        for i in start..out.len() {
+            if seg.contains(&out[i]) {
+                out[keep] = out[i];
+                keep += 1;
+            }
+        }
+        out.truncate(keep);
+    }
 }
 
 impl SharedStore {
-    /// Candidate-id range for `(src, dst)` if both are known hosts with
-    /// distinct access info resolvable in this store.
-    fn pair_candidates(&self, src: NodeId, dst: NodeId) -> Option<std::ops::Range<usize>> {
+    /// Host ordinals and ordered access-pair index of `(src, dst)` if both
+    /// are distinct known hosts.
+    fn resolve(&self, src: NodeId, dst: NodeId) -> Option<(usize, usize, usize)> {
         if src == dst {
             return None;
         }
@@ -64,10 +139,45 @@ impl SharedStore {
         if so == u32::MAX || do_ == u32::MAX {
             return None;
         }
-        let i = self.acc_idx[self.access[so as usize].0] as usize;
-        let j = self.acc_idx[self.access[do_ as usize].0] as usize;
-        let p = i * self.n_acc + j;
+        let (so, do_) = (so as usize, do_ as usize);
+        let i = self.acc_idx[self.access[so].0] as usize;
+        let j = self.acc_idx[self.access[do_].0] as usize;
+        Some((so, do_, i * self.n_acc + j))
+    }
+
+    /// Candidate-id range for `(src, dst)` if both are known hosts with
+    /// distinct access info resolvable in this store.
+    fn pair_candidates(&self, src: NodeId, dst: NodeId) -> Option<std::ops::Range<usize>> {
+        let (_, _, p) = self.resolve(src, dst)?;
         Some(self.pair_off[p] as usize..self.pair_off[p + 1] as usize)
+    }
+
+    /// Intersects every access pair's candidate segments. A pair without
+    /// candidates gets empty ranges (it is never resolved as mandatory).
+    fn build_mandatory(&self) -> MandatoryTable {
+        let mut t = MandatoryTable {
+            nodes: FlatRows::new(),
+            links: FlatRows::new(),
+        };
+        for p in 0..self.pair_off.len() - 1 {
+            let (c0, c1) = (self.pair_off[p] as usize, self.pair_off[p + 1] as usize);
+            if c0 < c1 {
+                let rest = c0 + 1..c1;
+                intersect_segments(
+                    self.seg_nodes.row(c0),
+                    rest.clone().map(|c| self.seg_nodes.row(c)),
+                    &mut t.nodes.ids,
+                );
+                intersect_segments(
+                    self.seg_links.row(c0),
+                    rest.map(|c| self.seg_links.row(c)),
+                    &mut t.links.ids,
+                );
+            }
+            t.nodes.end_row();
+            t.links.end_row();
+        }
+        t
     }
 
     /// Assembles candidate `c` for `(src, dst)` into the scratch buffers.
@@ -84,21 +194,15 @@ impl SharedStore {
         nodes.clear();
         links.clear();
         nodes.push(src);
-        let nr = self.cand_node_off[c] as usize..self.cand_node_off[c + 1] as usize;
-        for &v in &self.seg_nodes[nr] {
-            nodes.push(NodeId(v as usize));
-        }
+        nodes.extend(self.seg_nodes.row(c).iter().map(|&v| NodeId(v as usize)));
         nodes.push(dst);
         links.push(self.uplink[so]);
-        let lr = self.cand_link_off[c] as usize..self.cand_link_off[c + 1] as usize;
-        for &l in &self.seg_links[lr] {
-            links.push(LinkId(l as usize));
-        }
+        links.extend(self.seg_links.row(c).iter().map(|&l| LinkId(l as usize)));
         links.push(self.uplink[do_]);
     }
 
     fn bytes(&self) -> usize {
-        self.overhead_bytes() + self.seg_nodes.len() * 4 + self.seg_links.len() * 4
+        self.overhead_bytes() + self.seg_nodes.ids.len() * 4 + self.seg_links.ids.len() * 4
     }
 
     /// Everything except the interior segments themselves: host remap
@@ -109,16 +213,16 @@ impl SharedStore {
             + self.uplink.len() * std::mem::size_of::<LinkId>()
             + self.acc_idx.len() * 4
             + self.pair_off.len() * 4
-            + self.cand_node_off.len() * 4
-            + self.cand_link_off.len() * 4
+            + self.seg_nodes.off.len() * 4
+            + self.seg_links.off.len() * 4
     }
 
     /// Segment bytes of one ordered access pair `p = i·n_acc + j`.
     fn pair_seg_bytes(&self, p: usize) -> usize {
         let c0 = self.pair_off[p] as usize;
         let c1 = self.pair_off[p + 1] as usize;
-        let nodes = (self.cand_node_off[c1] - self.cand_node_off[c0]) as usize;
-        let links = (self.cand_link_off[c1] - self.cand_link_off[c0]) as usize;
+        let nodes = (self.seg_nodes.off[c1] - self.seg_nodes.off[c0]) as usize;
+        let links = (self.seg_links.off[c1] - self.seg_links.off[c0]) as usize;
         (nodes + links) * 4
     }
 }
@@ -193,11 +297,10 @@ impl<T: MultipathTopology> PathArena<T> {
                 acc_idx: Vec::new(),
                 n_acc: 0,
                 pair_off: vec![0],
-                cand_node_off: vec![0],
-                cand_link_off: vec![0],
-                seg_nodes: Vec::new(),
-                seg_links: Vec::new(),
+                seg_nodes: FlatRows::new(),
+                seg_links: FlatRows::new(),
                 max_seg: 0,
+                mandatory: OnceLock::new(),
             }));
         }
 
@@ -236,10 +339,8 @@ impl<T: MultipathTopology> PathArena<T> {
 
         let mut pair_off: Vec<u32> = Vec::with_capacity(n_acc * n_acc + 1);
         pair_off.push(0);
-        let mut cand_node_off: Vec<u32> = vec![0];
-        let mut cand_link_off: Vec<u32> = vec![0];
-        let mut seg_nodes: Vec<u32> = Vec::new();
-        let mut seg_links: Vec<u32> = Vec::new();
+        let mut seg_nodes = FlatRows::new();
+        let mut seg_links = FlatRows::new();
         let mut max_seg = 0usize;
         let mut n_cand = 0u32;
 
@@ -269,14 +370,14 @@ impl<T: MultipathTopology> PathArena<T> {
                             return None;
                         }
                         for &v in &p.nodes[1..n - 1] {
-                            seg_nodes.push(v.0 as u32);
+                            seg_nodes.ids.push(v.0 as u32);
                         }
                         for &l in &p.links[1..p.links.len() - 1] {
-                            seg_links.push(l.0 as u32);
+                            seg_links.ids.push(l.0 as u32);
                         }
                         max_seg = max_seg.max(n - 2);
-                        cand_node_off.push(seg_nodes.len() as u32);
-                        cand_link_off.push(seg_links.len() as u32);
+                        seg_nodes.end_row();
+                        seg_links.end_row();
                         n_cand += 1;
                     }
                 }
@@ -291,11 +392,10 @@ impl<T: MultipathTopology> PathArena<T> {
             acc_idx,
             n_acc,
             pair_off,
-            cand_node_off,
-            cand_link_off,
             seg_nodes,
             seg_links,
             max_seg,
+            mandatory: OnceLock::new(),
         }))
     }
 
@@ -399,6 +499,21 @@ impl<T: MultipathTopology> PathArena<T> {
         ArenaByteBreakdown { per_group, shared }
     }
 
+    /// The mandatory-segment view of the shared store, or `None` for the
+    /// per-pair store (callers intersect candidates directly there). The
+    /// table is computed on the first call and kept for the arena's
+    /// lifetime, so every context sharing the arena pays for it once. It
+    /// is a derived index and is not counted in [`Self::arena_bytes`].
+    pub fn mandatory_segments(&self) -> Option<MandatorySegments<'_>> {
+        match &self.store {
+            Store::Shared(s) => Some(MandatorySegments {
+                store: s,
+                table: s.mandatory.get_or_init(|| Box::new(s.build_mandatory())),
+            }),
+            Store::PerPair(_) => None,
+        }
+    }
+
     /// `true` when the compact shared-segment store is in use.
     pub fn is_shared(&self) -> bool {
         matches!(self.store, Store::Shared(_))
@@ -407,6 +522,66 @@ impl<T: MultipathTopology> PathArena<T> {
     /// The wrapped topology.
     pub fn inner(&self) -> &T {
         &self.inner
+    }
+}
+
+/// One host pair resolved against the shared store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AccessPair {
+    /// Ordered access-switch pair, an index below
+    /// [`MandatorySegments::num_pairs`].
+    pub pair: usize,
+    /// The source host's uplink (first hop of every candidate).
+    pub src_uplink: LinkId,
+    /// The destination host's uplink (last hop of every candidate).
+    pub dst_uplink: LinkId,
+}
+
+/// Per ordered access pair, the interior nodes and links every candidate
+/// of the pair traverses (see [`PathArena::mandatory_segments`]).
+///
+/// Soundness: a host pair's candidates are exactly `[src] + interior +
+/// [dst]` over its access pair's interior segments, so an id in every
+/// interior segment is in every candidate, and the two uplinks are in
+/// every candidate by construction. Conversely an interior id missing
+/// from one segment is avoidable, so the table is the exact intersection.
+#[derive(Debug, Clone, Copy)]
+pub struct MandatorySegments<'a> {
+    store: &'a SharedStore,
+    table: &'a MandatoryTable,
+}
+
+impl MandatorySegments<'_> {
+    /// Number of ordered access pairs (`n_acc²`).
+    pub fn num_pairs(&self) -> usize {
+        self.table.nodes.off.len() - 1
+    }
+
+    /// Resolves `(src, dst)`: `None` unless both are distinct hosts whose
+    /// access pair has at least one candidate.
+    pub fn access_pair(&self, src: NodeId, dst: NodeId) -> Option<AccessPair> {
+        let s = self.store;
+        let (so, do_, pair) = s.resolve(src, dst)?;
+        if s.pair_off[pair] == s.pair_off[pair + 1] {
+            return None;
+        }
+        Some(AccessPair {
+            pair,
+            src_uplink: s.uplink[so],
+            dst_uplink: s.uplink[do_],
+        })
+    }
+
+    /// Interior nodes common to every candidate of `pair`, each once.
+    pub fn nodes(&self, pair: usize) -> impl Iterator<Item = NodeId> + '_ {
+        let row = self.table.nodes.row(pair);
+        row.iter().map(|&v| NodeId(v as usize))
+    }
+
+    /// Interior links common to every candidate of `pair`, each once.
+    pub fn links(&self, pair: usize) -> impl Iterator<Item = LinkId> + '_ {
+        let row = self.table.links.row(pair);
+        row.iter().map(|&l| LinkId(l as usize))
     }
 }
 
@@ -591,6 +766,106 @@ mod tests {
             }
         }
         assert!(arena.arena_bytes() > 0);
+    }
+
+    /// Interior nodes / links common to every candidate of `(src, dst)`,
+    /// intersected straight from the candidate walk.
+    fn direct_intersection(
+        arena: &dyn MultipathTopology,
+        src: NodeId,
+        dst: NodeId,
+    ) -> (Vec<NodeId>, Vec<LinkId>) {
+        let mut paths = Vec::new();
+        arena.for_each_candidate(src, dst, &mut |p| paths.push(p.to_path()));
+        let interior_links = |p: &Path| p.links[1..p.links.len() - 1].to_vec();
+        let mut sw: Vec<NodeId> = paths[0].interior().to_vec();
+        let mut ln: Vec<LinkId> = interior_links(&paths[0]);
+        for p in &paths[1..] {
+            sw.retain(|x| p.interior().contains(x));
+            ln.retain(|x| interior_links(p).contains(x));
+        }
+        sw.sort();
+        sw.dedup();
+        ln.sort();
+        ln.dedup();
+        (sw, ln)
+    }
+
+    fn mandatory_table_matches_direct_intersection(
+        arena: &dyn MultipathTopology,
+        ms: MandatorySegments<'_>,
+    ) {
+        let hosts = arena.host_list().to_vec();
+        let mut covered = vec![false; ms.num_pairs()];
+        for &src in &hosts {
+            for &dst in &hosts {
+                if src == dst {
+                    assert_eq!(ms.access_pair(src, dst), None);
+                    continue;
+                }
+                let ap = ms.access_pair(src, dst).expect("host pair resolves");
+                covered[ap.pair] = true;
+                let first = arena.nth_candidate(src, dst, 0).unwrap();
+                assert_eq!(ap.src_uplink, first.links[0]);
+                assert_eq!(ap.dst_uplink, *first.links.last().unwrap());
+                let mut sw: Vec<NodeId> = ms.nodes(ap.pair).collect();
+                let mut ln: Vec<LinkId> = ms.links(ap.pair).collect();
+                let (n_sw, n_ln) = (sw.len(), ln.len());
+                sw.sort();
+                sw.dedup();
+                ln.sort();
+                ln.dedup();
+                assert_eq!((sw.len(), ln.len()), (n_sw, n_ln), "entries are unique");
+                assert_eq!((sw, ln), direct_intersection(arena, src, dst));
+            }
+        }
+        assert!(
+            covered.iter().all(|&c| c),
+            "every ordered access pair is reached"
+        );
+    }
+
+    #[test]
+    fn mandatory_table_is_the_exact_candidate_intersection() {
+        for k in [4usize, 8] {
+            let ft = FatTree::new(k, 1000.0);
+            let arena = PathArena::build(&ft);
+            let ms = arena.mandatory_segments().expect("shared store");
+            assert_eq!(ms.num_pairs(), (k * k / 2) * (k * k / 2));
+            mandatory_table_matches_direct_intersection(&arena, ms);
+            // Inter-pod: both edges are mandatory, no interior link is.
+            let (a, b) = (ft.host(0, 0, 0), ft.host(1, 0, 0));
+            let ap = ms.access_pair(a, b).unwrap();
+            let mut nodes: Vec<NodeId> = ms.nodes(ap.pair).collect();
+            nodes.sort();
+            assert_eq!(nodes, vec![ft.host_edge(a), ft.host_edge(b)]);
+            assert_eq!(ms.links(ap.pair).count(), 0);
+            assert_eq!(
+                (ap.src_uplink, ap.dst_uplink),
+                (ft.host_uplink(a), ft.host_uplink(b))
+            );
+        }
+        // One spine: every leaf-to-leaf candidate is the same path, so
+        // the whole interior is mandatory.
+        let ls = LeafSpine::new(3, 1, 2, 1000.0);
+        let arena = PathArena::build(&ls);
+        let ms = arena.mandatory_segments().expect("shared store");
+        mandatory_table_matches_direct_intersection(&arena, ms);
+        let ap = ms.access_pair(ls.host(0, 0), ls.host(1, 0)).unwrap();
+        assert_eq!(ms.nodes(ap.pair).count(), 3);
+        assert_eq!(ms.links(ap.pair).count(), 2);
+        let ls = LeafSpine::new(3, 2, 4, 1000.0);
+        let arena = PathArena::build(&ls);
+        mandatory_table_matches_direct_intersection(&arena, arena.mandatory_segments().unwrap());
+        // Non-host endpoints never resolve.
+        let ms = arena.mandatory_segments().unwrap();
+        assert_eq!(ms.access_pair(ls.leaves()[0], ls.host(1, 0)), None);
+    }
+
+    #[test]
+    fn per_pair_store_has_no_mandatory_table() {
+        let fabric = DualHomed::new();
+        assert!(PathArena::build(&fabric).mandatory_segments().is_none());
     }
 
     /// A toy fabric with one dual-homed host — the access-pair factoring

@@ -41,7 +41,7 @@ pub mod transition;
 
 pub use consolidate::{
     arc::ArcMilpConsolidator,
-    arena::{ArenaByteBreakdown, PathArena},
+    arena::{AccessPair, ArenaByteBreakdown, MandatorySegments, PathArena},
     greedy::GreedyConsolidator,
     path::PathMilpConsolidator,
     pod::{
