@@ -11,11 +11,12 @@
 //!   warm (ladder inherited from the process-wide cache);
 //! * `run_cluster` / `optimize_total_power/*` — the end-to-end simulator
 //!   and the 4-candidate aggregation-ladder optimizer, the last in three
-//!   variants: `serial_cold` (one thread, fresh context per sweep, the
-//!   NetworkPlan memo off, exhaustive sweep — the pre-warm-start shape),
-//!   `serial_warm` (one thread, shared context, plan memo on, the
-//!   bound-pruned sweep with the previous winner as ordering hint — the
-//!   controller's steady-state epoch shape), and `parallel_warm` (the
+//!   variants: `serial_cold` (one thread, fresh context per sweep, so
+//!   every evaluation misses the context's memo, exhaustive sweep — the
+//!   pre-warm-start shape), `serial_warm` (one thread, shared context
+//!   whose evaluation memo answers every repeat, the bound-pruned sweep
+//!   with the previous winner as ordering hint — the incremental day's
+//!   revived-context shape), and `parallel_warm` (the
 //!   warm shape under a thread budget equal to host parallelism; skipped
 //!   with a recorded reason on a single-core host, where it could only
 //!   re-measure `serial_warm` plus thread overhead);
@@ -64,9 +65,8 @@ use eprons_bench::harness::Runner;
 use eprons_bench::{arg_value, banner, finish, quick, BASE_SEED};
 use eprons_core::scenario::{ScenarioContext, ScenarioSpec};
 use eprons_core::{
-    optimize_in_context_pruned, optimize_total_power, run_cluster, set_plan_cache_enabled,
-    set_thread_budget, ClusterConfig, ClusterRun, ConsolidateStrategy, ConsolidationSpec,
-    ServerScheme,
+    optimize_in_context_pruned, optimize_total_power, run_cluster, set_thread_budget,
+    ClusterConfig, ClusterRun, ConsolidateStrategy, ConsolidationSpec, ServerScheme,
 };
 use eprons_lp::LpEngine;
 use eprons_lp::Standardized;
@@ -168,26 +168,24 @@ fn main() {
         ConsolidationSpec::Level(AggregationLevel::Agg3),
     ];
     // `serial_cold` replays the pre-warm-start pipeline exactly: one
-    // thread, a fresh ScenarioContext per sweep, the NetworkPlan memo
-    // disabled, every process-wide cache cleared, and the exhaustive
+    // thread, a fresh ScenarioContext per sweep (so its evaluation memo
+    // never hits), every process-wide cache cleared, and the exhaustive
     // (unpruned) candidate sweep.
     let serial_budget = 1usize;
     set_thread_budget(Some(serial_budget));
     r.bench("optimize_total_power/agg_ladder/serial_cold", || {
         clear_equiv_cache();
         clear_plan_cache();
-        set_plan_cache_enabled(false);
-        let spec = optimize_total_power(&cfg, &template, &candidates)
+        optimize_total_power(&cfg, &template, &candidates)
             .unwrap()
-            .spec;
-        set_plan_cache_enabled(true);
-        spec
+            .spec
     });
-    // `serial_warm` is the controller's steady-state epoch shape: one
-    // shared context, the NetworkPlan memo on (every candidate's plan is
-    // built once, ever), the bound-pruned sweep skipping dominated
-    // candidates, and the previous sweep's winner as the ordering hint —
-    // the same spec the cold sweep picks, by the determinism contract.
+    // `serial_warm` is the incremental day's revived-context shape: one
+    // shared context whose evaluation memo answers every repeat (each
+    // candidate is evaluated once, ever), the bound-pruned sweep skipping
+    // dominated candidates, and the previous sweep's winner as the
+    // ordering hint — the same spec the cold sweep picks, by the
+    // determinism contract.
     let warm_ctx = ScenarioContext::for_template(&cfg, &template);
     let mut warm_hint: Option<ConsolidationSpec> = None;
     r.bench("optimize_total_power/agg_ladder/serial_warm", || {

@@ -13,9 +13,9 @@
 //! * **rebuild** — `DayScopeConfig { incremental: false }`: every epoch
 //!   rebuilds its `ScenarioContext` from scratch (the baseline);
 //! * **incremental** — `DayScopeConfig { incremental: true }`: epochs
-//!   draw contexts from the day's [`DayContext`] LRU (plan caches and
-//!   pod-solve cache surviving across epochs) and per-ISN server
-//!   evaluations hit the process-wide memo.
+//!   draw contexts from the day's [`DayContext`] LRU (evaluation memos
+//!   and the pod-solve cache surviving across epochs), so a repeated
+//!   operating point is answered from its context's memo.
 //!
 //! Asserted contract (gated in CI via the committed `BENCH_replay.json`):
 //!
@@ -40,7 +40,7 @@ use eprons_core::{
     simulate_day_with_failures, ClusterConfig, DayScopeConfig, DayStrategy, FailureEvent,
     FailureEventKind, FailureSchedule, OnlineConfig, ReplayTrace, TraceScenario,
 };
-use eprons_obs::Json;
+use eprons_obs::{Event, JournalEntry, Json};
 use eprons_topo::FatTree;
 
 /// The `--out <path>` (or `--out=<path>`) argument; defaults to the
@@ -86,8 +86,26 @@ fn time_day(
     (records, dt)
 }
 
-fn counter(name: &str) -> u64 {
-    eprons_obs::registry().counter(name).get()
+/// `(hits, misses, evictions)` of the last `DayCacheReport` for `cache`
+/// among `entries`. Exits non-zero when the day journaled none.
+fn cache_report(entries: &[JournalEntry], cache: &str) -> (u64, u64, u64) {
+    entries
+        .iter()
+        .rev()
+        .find_map(|e| match &e.event {
+            Event::DayCacheReport {
+                cache: name,
+                hits,
+                misses,
+                evictions,
+                ..
+            } if name == cache => Some((*hits, *misses, *evictions)),
+            _ => None,
+        })
+        .unwrap_or_else(|| {
+            eprintln!("error: the incremental day journaled no {cache} report");
+            std::process::exit(1);
+        })
 }
 
 fn main() {
@@ -99,7 +117,8 @@ fn main() {
     // the days run, not after.
     let (out, csv) = (out_arg(), csv_arg());
     // Telemetry stays on even without --journal: the artifact reports
-    // the day-cache counters, which only tick while obs is enabled. The
+    // the day's cache tallies from the `DayCacheReport` events it
+    // journals, which are only recorded while obs is enabled. The
     // overhead applies to both timed runs equally.
     eprons_obs::set_enabled(true);
 
@@ -187,11 +206,7 @@ fn main() {
     // tables, allocator arenas) then accrues to the rebuild baseline,
     // making the reported speedup conservative.
     let mut r = Runner::new(0.0, 1);
-    let dc_hits0 = counter("core.daycache.hits");
-    let dc_misses0 = counter("core.daycache.misses");
-    let dc_evict0 = counter("core.daycache.evictions");
-    let ec_hits0 = counter("core.evalcache.hits");
-    let ec_misses0 = counter("core.evalcache.misses");
+    let mark = eprons_obs::journal().len();
     let (incremental, incremental_s) = time_day(
         &mut r,
         "day_replay/incremental",
@@ -200,12 +215,13 @@ fn main() {
         &incremental_day,
         &schedule,
     );
-    let dc_hits = counter("core.daycache.hits") - dc_hits0;
-    let dc_misses = counter("core.daycache.misses") - dc_misses0;
-    let dc_evictions = counter("core.daycache.evictions") - dc_evict0;
-    let ec_hits = counter("core.evalcache.hits") - ec_hits0;
-    let ec_misses = counter("core.evalcache.misses") - ec_misses0;
-    let sv = eprons_server::serveval_memo_stats();
+    let ((dc_hits, dc_misses, dc_evictions), (ec_hits, ec_misses, _)) = {
+        let day = &eprons_obs::journal().snapshot()[mark..];
+        (
+            cache_report(day, "core.daycache"),
+            cache_report(day, "core.evalcache"),
+        )
+    };
     let (rebuild, rebuild_s) = time_day(
         &mut r,
         "day_replay/rebuild",
@@ -260,22 +276,12 @@ fn main() {
     );
 
     let speedup = rebuild_s / incremental_s;
-    let sv_total = sv.hits + sv.misses;
-    let sv_rate = sv.hits as f64 / sv_total.max(1) as f64;
     println!(
         "wall:     rebuild {}, incremental {} ({speedup:.2}x)",
         format_secs(rebuild_s),
         format_secs(incremental_s)
     );
     println!("energy:   {rebuild_j:.1} J, bit-identical across modes");
-    println!(
-        "serveval: {} hits / {} misses ({:.1}% hit rate, {} entries, {:.1} MiB)",
-        sv.hits,
-        sv.misses,
-        sv_rate * 100.0,
-        sv.entries,
-        sv.bytes as f64 / (1024.0 * 1024.0)
-    );
     println!("daycache: {dc_hits} hits / {dc_misses} misses / {dc_evictions} evictions");
     println!("evalcache: {ec_hits} hits / {ec_misses} misses");
 
@@ -309,14 +315,6 @@ fn main() {
                 ("incremental_over_rebuild".into(), Json::Num(speedup)),
                 ("target".into(), Json::Num(SPEEDUP_TARGET)),
                 ("met".into(), Json::Bool(met)),
-            ]),
-        ),
-        (
-            "serveval".into(),
-            Json::Obj(vec![
-                ("hits".into(), Json::Num(sv.hits as f64)),
-                ("misses".into(), Json::Num(sv.misses as f64)),
-                ("hit_rate".into(), Json::Num(sv_rate)),
             ]),
         ),
         (

@@ -142,9 +142,9 @@ impl OnlineConfig {
 /// adjacent epochs at the same operating point present bit-identical
 /// scenario specs. That is what makes cross-epoch reuse sound *and*
 /// profitable: the [`crate::scenario::DayContext`] revives whole
-/// contexts (plan cache included), the pod-solve cache survives demand
-/// changes behind its flow fingerprint, and the server-eval memo in
-/// `eprons-server` short-circuits repeated per-ISN DVFS runs.
+/// contexts (evaluation memo included), so a repeated operating point
+/// is answered from the memo, and the pod-solve cache survives demand
+/// changes behind its flow fingerprint.
 ///
 /// These semantics hold for the *rebuild baseline too*: a day-scoped
 /// run with `incremental: false` rebuilds the context every epoch but

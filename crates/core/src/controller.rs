@@ -70,6 +70,15 @@ impl DayStrategy {
     }
 }
 
+/// What an epoch runs: its result, whether it meets the SLA, the
+/// degradation rung it fell to, and the configuration.
+type EpochPick = (
+    ClusterRunResult,
+    bool,
+    Option<DegradationStage>,
+    ConsolidationSpec,
+);
+
 /// One epoch's record in the day timeline.
 #[derive(Debug, Clone)]
 pub struct DayRecord {
@@ -522,35 +531,19 @@ pub fn simulate_day_with_failures(
         // ladder shares it, so each candidate pays only consolidation +
         // latency sampling + DVFS simulation. Incremental day-scoped
         // runs go further and fetch the context from the day cache,
-        // reviving earlier epochs' contexts (plan cache included).
+        // reviving earlier epochs' contexts (evaluation memo included).
         let ctx = match day_ctx {
             Some(dc) => dc.context_for(&ScenarioSpec::of_run(&run)),
             None => ScenarioContext::for_template(cfg, &run),
         };
-        let (mut result, mut base_feasible, mut degradation, mut spec): (
-            ClusterRunResult,
-            bool,
-            Option<DegradationStage>,
-            ConsolidationSpec,
-        ) = match strategy {
-            DayStrategy::Eprons { candidates } => {
-                match optimize_in_context_pruned(&ctx, scheme, candidates, &mask, warm_hint).0 {
-                    Some(c) => (c.result, c.feasible, None, c.spec),
-                    None => {
-                        // The mask leaves no routable candidate (e.g. an
-                        // edge failure partitioning hosts): run unmasked
-                        // over broken hardware, SLA forced false.
-                        let c = optimize_in_context(&ctx, scheme, candidates)
-                            .0
-                            .expect("at least one candidate evaluates");
-                        (c.result, false, Some(DegradationStage::Unprotected), c.spec)
-                    }
-                }
-            }
-            _ => match ctx.evaluate_masked(scheme, ConsolidationSpec::AllOn, &mask) {
+        // The all-on configuration around the mask when it routes (its SLA
+        // measured, `masked_stage` recorded), else all-on over broken
+        // hardware with the SLA forced false.
+        let all_on = |masked_stage: Option<DegradationStage>| -> EpochPick {
+            match ctx.evaluate_masked(scheme, ConsolidationSpec::AllOn, &mask) {
                 Ok(r) => {
                     let f = r.is_feasible(cfg);
-                    (r, f, None, ConsolidationSpec::AllOn)
+                    (r, f, masked_stage, ConsolidationSpec::AllOn)
                 }
                 Err(_) => {
                     let r = ctx
@@ -563,7 +556,35 @@ pub fn simulate_day_with_failures(
                         ConsolidationSpec::AllOn,
                     )
                 }
-            },
+            }
+        };
+        let (mut result, mut base_feasible, mut degradation, mut spec): EpochPick = match strategy {
+            DayStrategy::Eprons { candidates } => {
+                match optimize_in_context_pruned(&ctx, scheme, candidates, &mask, warm_hint).0 {
+                    Some(c) => (c.result, c.feasible, None, c.spec),
+                    // The mask leaves no routable candidate (e.g. an edge
+                    // failure partitioning hosts): run unmasked over
+                    // broken hardware, SLA forced false.
+                    None => match optimize_in_context(&ctx, scheme, candidates).0 {
+                        Some(c) => (c.result, false, Some(DegradationStage::Unprotected), c.spec),
+                        // Not even the intact fabric routes a rung of the
+                        // ladder: the terminal all-on rung.
+                        None => {
+                            let pick = all_on(Some(DegradationStage::AllOnFallback));
+                            if obs_on {
+                                let stage = pick.2.map_or("-", |d| d.label());
+                                eprons_obs::record(eprons_obs::Event::DegradedEpoch {
+                                    epoch: e as u64,
+                                    reason: "no ladder candidate routes, even unmasked".to_string(),
+                                    fallback: stage.to_string(),
+                                });
+                            }
+                            pick
+                        }
+                    },
+                }
+            }
+            _ => all_on(None),
         };
         // --- Online hysteresis: commit the optimizer's reconfiguration
         // only when the priced transition energy pays back within the
@@ -953,28 +974,16 @@ pub fn simulate_day_with_failures(
     // the thread budget in every mode, and each mode's timeline is a
     // deterministic pure function of its inputs.
     let warm = day.warm_start && matches!(strategy, DayStrategy::Eprons { .. });
-    // Day-scoped incremental machinery: the day-level context cache and
-    // the process-wide server-eval memo, both scoped to this day. Only
-    // the sequential modes reuse contexts — the cold parallel branch
-    // rebuilds per epoch (that rebuild *is* the baseline the replay
-    // harness measures the incremental path against).
-    let incremental = day.day_scope.as_ref().is_some_and(|ds| ds.incremental);
+    // Day-scoped incremental runs draw their contexts — evaluation memos
+    // included — from one day-level cache. Only the sequential modes
+    // reuse contexts — the cold parallel branch rebuilds per epoch (that
+    // rebuild *is* the baseline the replay harness measures the
+    // incremental path against).
     let day_cache = day
         .day_scope
         .as_ref()
         .filter(|ds| ds.incremental)
         .map(|ds| DayContext::new(cfg, ds.max_slots));
-    // Counter snapshot so the day-end report shows this day's result-
-    // memo traffic, not the process total.
-    let eval_hits_0 = eprons_obs::registry().counter("core.evalcache.hits").get();
-    let eval_miss_0 = eprons_obs::registry()
-        .counter("core.evalcache.misses")
-        .get();
-    if incremental {
-        eprons_server::clear_serveval_memo();
-        eprons_server::set_serveval_memo_enabled(true);
-        crate::scenario::set_eval_cache_enabled(true);
-    }
     let records: Vec<DayRecord> = if let Some(online) = day.online.clone() {
         let epoch_s = day.epoch_minutes as f64 * 60.0;
         let mut hyst = online
@@ -1051,40 +1060,22 @@ pub fn simulate_day_with_failures(
             eval_epoch(e, minute, load, predicted_bg[e], None, None, None).0
         })
     };
-    if incremental {
-        eprons_server::set_serveval_memo_enabled(false);
-        crate::scenario::set_eval_cache_enabled(false);
-        if obs_on {
-            if let Some(dc) = &day_cache {
-                let s = dc.stats();
-                eprons_obs::record(eprons_obs::Event::DayCacheReport {
-                    cache: "core.daycache".to_string(),
-                    hits: s.hits,
-                    misses: s.misses,
-                    evictions: s.evictions,
-                    bytes: s.bytes,
-                });
-                eprons_obs::record(eprons_obs::Event::DayCacheReport {
-                    cache: "core.evalcache".to_string(),
-                    hits: eprons_obs::registry().counter("core.evalcache.hits").get()
-                        - eval_hits_0,
-                    misses: eprons_obs::registry()
-                        .counter("core.evalcache.misses")
-                        .get()
-                        - eval_miss_0,
-                    evictions: 0,
-                    bytes: dc.eval_footprint_bytes(),
-                });
-            }
-            let m = eprons_server::serveval_memo_stats();
-            eprons_obs::record(eprons_obs::Event::DayCacheReport {
-                cache: "server.serveval".to_string(),
-                hits: m.hits,
-                misses: m.misses,
-                evictions: 0,
-                bytes: m.bytes,
-            });
-        }
+    if let (true, Some(dc)) = (obs_on, &day_cache) {
+        let s = dc.stats();
+        eprons_obs::record(eprons_obs::Event::DayCacheReport {
+            cache: "core.daycache".to_string(),
+            hits: s.hits,
+            misses: s.misses,
+            evictions: s.evictions,
+            bytes: s.bytes,
+        });
+        eprons_obs::record(eprons_obs::Event::DayCacheReport {
+            cache: "core.evalcache".to_string(),
+            hits: s.eval_hits,
+            misses: s.eval_misses,
+            evictions: 0,
+            bytes: s.eval_bytes,
+        });
     }
 
     if obs_on {
@@ -1463,6 +1454,35 @@ mod tests {
             day_churn_count(&online),
             day_churn_count(&batch)
         );
+    }
+
+    #[test]
+    fn unroutable_ladder_falls_back_to_all_on() {
+        // No epoch can route K = 1000 even on the intact fabric: every
+        // epoch must run the terminal all-on rung instead of panicking,
+        // with its SLA measured because all-on routes around the (empty)
+        // mask.
+        let cfg = ClusterConfig::default();
+        let strategy = DayStrategy::Eprons {
+            candidates: vec![ConsolidationSpec::GreedyK(1000.0)],
+        };
+        let recs = simulate_day(&cfg, &strategy, &quick_day());
+        let all_on = simulate_day(&cfg, &DayStrategy::NoPowerManagement, &quick_day());
+        assert_eq!(recs.len(), 6);
+        for r in &recs {
+            assert_eq!(r.degradation, Some(DegradationStage::AllOnFallback));
+            assert_eq!(r.active_switches, 20, "all-on keeps every switch up");
+        }
+        assert!(
+            recs.iter().any(|r| r.feasible),
+            "all-on meets the SLA somewhere"
+        );
+        // Same network as the no-power-management day; only the server
+        // scheme differs.
+        for (r, n) in recs.iter().zip(&all_on) {
+            assert_eq!(r.active_switch_ids, n.active_switch_ids);
+            assert_eq!(r.breakdown.network_w, n.breakdown.network_w);
+        }
     }
 
     #[test]

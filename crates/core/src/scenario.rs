@@ -32,11 +32,9 @@
 //! call. `crates/core/tests/determinism.rs` pins this with a golden
 //! equality test over every `ServerScheme` × `AggregationLevel` pair.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use eprons_net::consolidate::pod::{
     consolidate_pod_decomposed, PodDecompOptions, PodRunner, PodSolveCache,
@@ -49,9 +47,8 @@ use eprons_net::{
 use eprons_server::policy::DvfsPolicy;
 use eprons_server::request::budget_with_network_slack;
 use eprons_server::{
-    serveval_memo_enabled, service_fingerprint, simulate_core_memoized, ArrivalSpec, AvgVpPolicy,
-    CoreSimConfig, DeepSleepPolicy, MaxFreqPolicy, MaxVpPolicy, ServiceModel, TimeTraderPolicy,
-    VpEngine,
+    simulate_core, ArrivalSpec, AvgVpPolicy, CoreSimConfig, DeepSleepPolicy, MaxFreqPolicy,
+    MaxVpPolicy, ServiceModel, TimeTraderPolicy, VpEngine,
 };
 use eprons_sim::SimRng;
 use eprons_topo::{AggregationLevel, FatTree, NodeId};
@@ -61,52 +58,6 @@ use eprons_workload::{xapian_like_samples, Query, QueryGenerator};
 use crate::cluster::{ClusterError, ClusterRun, ClusterRunResult, ConsolidationSpec, ServerScheme};
 use crate::config::{ClusterConfig, ConsolidateStrategy, SlaConfig};
 use crate::parallel::{parallel_map, parallel_map_range};
-
-/// Process-wide switch for the per-context stage-2 plan memo. On by
-/// default; the perf bench's cold baseline turns it off to measure the
-/// pre-memo pipeline. Caching is invisible to results either way — a
-/// [`NetworkPlan`] is a pure function of (context, candidate, mask), so a
-/// memo hit returns the bit-identical plan a rebuild would produce.
-static PLAN_CACHE_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables the stage-2 plan memo process-wide (default: on).
-///
-/// Results never change — only whether repeated evaluations of the same
-/// (candidate, mask) against one context pay consolidation and latency
-/// sampling again. Exists for cold-baseline measurement, not correctness.
-pub fn set_plan_cache_enabled(on: bool) {
-    PLAN_CACHE_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the stage-2 plan memo is currently serving hits.
-pub fn plan_cache_enabled() -> bool {
-    PLAN_CACHE_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Process-wide switch for the per-context *result* memo: the full
-/// [`ClusterRunResult`] of one (scheme, candidate, mask) evaluation. Off
-/// by default — a result cache only pays when the same operating point
-/// recurs against the same context, which is exactly the day-scoped
-/// incremental replay ([`crate::DayContext`] revives a slot's context,
-/// and with it every result already evaluated at that operating point).
-/// The day controller turns it on around an incremental day and back off
-/// after. Like the plan memo it is invisible to results: an evaluation is
-/// a pure function of (context, scheme, candidate, mask), so a hit
-/// returns the bit-identical result a re-run would produce.
-static EVAL_CACHE_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables the evaluation-result memo process-wide
-/// (default: off). Results never change — only whether repeated
-/// evaluations of the same (scheme, candidate, mask) against one context
-/// pay stages 2–4 again.
-pub fn set_eval_cache_enabled(on: bool) {
-    EVAL_CACHE_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the evaluation-result memo is currently serving hits.
-pub fn eval_cache_enabled() -> bool {
-    EVAL_CACHE_ENABLED.load(Ordering::Relaxed)
-}
 
 /// Index of a scheme for cache keying (fieldless enum — every scheme
 /// parameter lives in [`ClusterConfig`], fixed per context).
@@ -128,7 +79,15 @@ fn scheme_index(scheme: ServerScheme) -> u8 {
 /// the normalized mask.
 type PlanKey = (u8, u64, u8, Vec<usize>);
 
-/// `mask` must already be sorted and deduplicated.
+/// A failure mask sorted and deduplicated, the form memo keys use.
+fn normalized_mask(excluded: &[NodeId]) -> Vec<NodeId> {
+    let mut mask = excluded.to_vec();
+    mask.sort_unstable();
+    mask.dedup();
+    mask
+}
+
+/// `mask` must already be normalized ([`normalized_mask`]).
 fn plan_key(spec: ConsolidationSpec, strategy: ConsolidateStrategy, mask: &[NodeId]) -> PlanKey {
     let (tag, bits, strat) = match spec {
         ConsolidationSpec::AllOn => (0u8, 0u64, 0u8),
@@ -146,13 +105,42 @@ fn plan_key(spec: ConsolidationSpec, strategy: ConsolidateStrategy, mask: &[Node
     (tag, bits, strat, mask.iter().map(|n| n.0).collect())
 }
 
-/// Memo key for one full evaluation result: the scheme index over the
-/// plan key (everything else an evaluation depends on is context state).
-type EvalKey = (u8, PlanKey);
+/// Key of one result computed on a memoized plan: the scheme index and
+/// the exact bits of the SLA it ran under. The SLA is the one input a
+/// [`ScenarioContext::with_sla`] clone changes while sharing the memo;
+/// everything else a result depends on is fixed per context.
+type ResultKey = (u8, [u64; 4]);
 
-/// Memo value for one full evaluation: the result, or the error the
-/// evaluation deterministically fails with.
-type EvalOutcome = Result<ClusterRunResult, ClusterError>;
+fn result_key(scheme: ServerScheme, sla: &SlaConfig) -> ResultKey {
+    (
+        scheme_index(scheme),
+        [
+            sla.server_budget_s.to_bits(),
+            sla.network_budget_s.to_bits(),
+            sla.request_fraction.to_bits(),
+            sla.percentile.to_bits(),
+        ],
+    )
+}
+
+/// One entry of a context's evaluation memo: a candidate's stage-2
+/// outcome under one mask — the plan, or the error consolidation
+/// deterministically fails with — plus every stage-2–4 result computed
+/// on that plan.
+#[derive(Debug)]
+pub(crate) struct MemoEntry {
+    plan: Result<Arc<NetworkPlan>, ClusterError>,
+    results: HashMap<ResultKey, ClusterRunResult>,
+}
+
+/// Result-memo lookups, shared by every context derived from one build
+/// through [`ScenarioContext::rebind_demand`] (and so by every context a
+/// [`DayContext`] hands out).
+#[derive(Debug, Default)]
+pub(crate) struct MemoTally {
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
 
 /// The axes a [`ScenarioContext`] is keyed by: everything in a
 /// [`ClusterRun`] except the per-candidate network configuration and the
@@ -199,21 +187,19 @@ pub(crate) struct ScenarioData {
     /// candidate (it returns exactly what `ft` would, so results are
     /// unchanged).
     pub(crate) arena: Arc<PathArena<FatTree>>,
-    /// Memoized stage-2 plans keyed by (candidate, mask). A plan is a
-    /// pure function of those inputs given this context (the latency RNG
-    /// is cloned per build), so serving a cached `Arc` is bit-identical
-    /// to rebuilding. Shared across context clones via the `Arc` above.
-    pub(crate) plan_cache: Mutex<HashMap<PlanKey, Arc<NetworkPlan>>>,
-    /// Memoized stage-2–4 outcomes keyed by (scheme, candidate, mask) —
-    /// the whole [`ClusterRunResult`] of one operating-point evaluation,
-    /// or the [`ClusterError`] it failed with. Failures are cached
-    /// deliberately: an unroutable candidate (e.g. GreedyK(2) at a peak
-    /// slot) pays the full consolidation attempt before it is rejected,
-    /// and the day loop retries it every epoch otherwise. Only consulted
-    /// while [`eval_cache_enabled`] (incremental days); a pure function
-    /// of its key given this context, so hits are bit-identical to
-    /// re-runs.
-    pub(crate) eval_cache: Mutex<HashMap<EvalKey, Arc<EvalOutcome>>>,
+    /// The evaluation memo, keyed by (candidate, mask): each entry holds
+    /// the stage-2 plan — or the error consolidation failed with — and
+    /// the results evaluated on it per (scheme, SLA). Both are pure
+    /// functions of their keys given this context (the latency RNG is
+    /// cloned per build), so a hit is bit-identical to a re-run.
+    /// Failures are cached too: an unroutable candidate (e.g. GreedyK(2)
+    /// at a peak slot) pays its whole consolidation attempt before it is
+    /// rejected, and the day loop re-offers it every epoch. Shared by
+    /// [`ScenarioContext::with_sla`] clones, which the SLA in the result
+    /// key keeps apart.
+    pub(crate) memo: Mutex<HashMap<PlanKey, MemoEntry>>,
+    /// Hit/miss tally of the result memo.
+    pub(crate) tally: Arc<MemoTally>,
     pub(crate) hosts: Vec<NodeId>,
     pub(crate) service: Arc<ServiceModel>,
     pub(crate) mean_service_s: f64,
@@ -279,6 +265,16 @@ impl ScenarioContext {
     /// and background workloads, flow set, and the per-candidate RNG
     /// snapshots.
     pub fn build(cfg: &ClusterConfig, spec: &ScenarioSpec) -> ScenarioContext {
+        ScenarioContext::build_counted(cfg, spec, Arc::default())
+    }
+
+    /// [`ScenarioContext::build`] with the result-memo tally supplied by
+    /// the caller (a [`DayContext`] counts every context it hands out).
+    fn build_counted(
+        cfg: &ClusterConfig,
+        spec: &ScenarioSpec,
+        tally: Arc<MemoTally>,
+    ) -> ScenarioContext {
         let _t = eprons_obs::Timer::scoped("core.scenario.build_s");
         let mut sp = eprons_obs::Span::enter("scenario.build");
         let obs_on = eprons_obs::enabled();
@@ -365,8 +361,8 @@ impl ScenarioContext {
             data: Arc::new(ScenarioData {
                 ft: Arc::new(ft),
                 arena: Arc::new(arena),
-                plan_cache: Mutex::new(HashMap::new()),
-                eval_cache: Mutex::new(HashMap::new()),
+                memo: Mutex::new(HashMap::new()),
+                tally,
                 hosts,
                 service: Arc::new(service),
                 mean_service_s,
@@ -405,12 +401,12 @@ impl ScenarioContext {
     ///
     /// The pod-solve cache is *shared* with `self`: its key carries a
     /// fingerprint of the flow set, so entries are only ever served to
-    /// consolidation passes over identical flows. The stage-2 plan cache
+    /// consolidation passes over identical flows. The evaluation memo
     /// starts empty — plans depend on the demand-dependent latency
-    /// sampling.
+    /// sampling — but its hit/miss tally is shared with `self`.
     pub fn rebind_demand(&self, spec: &ScenarioSpec) -> ScenarioContext {
         if spec.seed != self.spec.seed {
-            return ScenarioContext::build(&self.cfg, spec);
+            return ScenarioContext::build_counted(&self.cfg, spec, Arc::clone(&self.data.tally));
         }
         let _t = eprons_obs::Timer::scoped("core.scenario.rebind_s");
         let mut sp = eprons_obs::Span::enter("scenario.rebind");
@@ -480,8 +476,8 @@ impl ScenarioContext {
             data: Arc::new(ScenarioData {
                 ft: Arc::clone(&d.ft),
                 arena: Arc::clone(&d.arena),
-                plan_cache: Mutex::new(HashMap::new()),
-                eval_cache: Mutex::new(HashMap::new()),
+                memo: Mutex::new(HashMap::new()),
+                tally: Arc::clone(&d.tally),
                 hosts: d.hosts.clone(),
                 service: Arc::clone(&d.service),
                 mean_service_s: d.mean_service_s,
@@ -574,60 +570,37 @@ impl ScenarioContext {
                 seed: self.spec.seed,
             });
         }
-        // Result memo (incremental days only): the whole evaluation —
-        // including a deterministic failure — is a pure function of
-        // (scheme, candidate, mask) given this context, so a repeat
-        // operating point skips stages 2–4 outright. Errors are cached
-        // too: an infeasible candidate pays its full consolidation
-        // attempt before rejection, and the day loop re-offers it every
-        // epoch. The lock is never held across an evaluation (same
-        // discipline as the plan memo: racing double-evaluations insert
-        // identical bits, harmlessly).
-        let mut cached: Option<EvalOutcome> = None;
-        let mut miss_key: Option<EvalKey> = None;
-        if eval_cache_enabled() {
-            let mut mask = excluded.to_vec();
-            mask.sort_unstable();
-            mask.dedup();
-            let key = (
-                scheme_index(scheme),
-                plan_key(consolidation, self.effective_strategy(), &mask),
-            );
-            let hit = self
-                .data
-                .eval_cache
-                .lock()
-                .expect("eval cache poisoned")
-                .get(&key)
-                .cloned();
-            if obs_on {
-                let name = if hit.is_some() {
-                    "core.evalcache.hits"
-                } else {
-                    "core.evalcache.misses"
-                };
-                eprons_obs::registry().counter(name).inc();
-            }
-            match hit {
-                Some(outcome) => cached = Some((*outcome).clone()),
-                None => miss_key = Some(key),
-            }
+        // The memo answers a repeat (scheme, candidate, mask, SLA) —
+        // a deterministic failure included — without re-running stages
+        // 2–4. The lock is never held across a build or an evaluation, so
+        // parallel candidate fan-outs only contend on lookups; a racing
+        // double evaluation inserts identical bits, harmlessly.
+        let mask = normalized_mask(excluded);
+        let key = plan_key(consolidation, self.effective_strategy(), &mask);
+        let rkey = result_key(scheme, &self.cfg.sla);
+        let hit = self.memo().get(&key).and_then(|e| match &e.plan {
+            Ok(_) => e.results.get(&rkey).cloned().map(Ok),
+            Err(err) => Some(Err(err.clone())),
+        });
+        let tally = &self.data.tally;
+        let (count, name) = match hit {
+            Some(_) => (&tally.hits, "core.evalcache.hits"),
+            None => (&tally.misses, "core.evalcache.misses"),
+        };
+        count.fetch_add(1, Ordering::Relaxed);
+        if obs_on {
+            eprons_obs::registry().counter(name).inc();
         }
-        let result = match cached {
+        let result = match hit {
             Some(outcome) => outcome?,
             None => {
-                let outcome: EvalOutcome = self.plan_masked(consolidation, excluded).map(|plan| {
-                    let eval = ServerEvaluation::run(self, &plan, scheme);
-                    crate::accounting::assemble(self, &plan, &eval)
-                });
-                if let Some(key) = miss_key {
-                    self.data
-                        .eval_cache
-                        .lock()
-                        .expect("eval cache poisoned")
-                        .insert(key, Arc::new(outcome.clone()));
+                let plan = self.plan_masked(consolidation, &mask)?;
+                let eval = ServerEvaluation::run(self, &plan, scheme);
+                let result = crate::accounting::assemble(self, &plan, &eval);
+                if let Some(e) = self.memo().get_mut(&key) {
+                    e.results.insert(rkey, result.clone());
                 }
-                outcome?
+                result
             }
         };
         if obs_on {
@@ -645,49 +618,29 @@ impl ScenarioContext {
         Ok(result)
     }
 
-    /// Stage 2 through the per-context memo: returns the cached plan for
-    /// (candidate, mask) or builds and caches it. Build failures are not
-    /// cached (they are cheap — consolidation rejects before the
-    /// expensive latency sampling). The lock is never held across a
-    /// build, so parallel candidate fan-outs only contend on the lookup;
-    /// a racing double-build inserts the same bits twice, harmlessly.
+    /// Stage 2 through the evaluation memo: the memoized plan — or
+    /// consolidation error — for (candidate, mask), built and memoized on
+    /// first request.
     pub(crate) fn plan_masked(
         &self,
         consolidation: ConsolidationSpec,
         excluded: &[NodeId],
     ) -> Result<Arc<NetworkPlan>, ClusterError> {
-        let mut mask = excluded.to_vec();
-        mask.sort_unstable();
-        mask.dedup();
-        if !plan_cache_enabled() {
-            return NetworkPlan::build_masked(self, consolidation, &mask).map(Arc::new);
-        }
+        let mask = normalized_mask(excluded);
         let key = plan_key(consolidation, self.effective_strategy(), &mask);
-        let hit = self
-            .data
-            .plan_cache
-            .lock()
-            .expect("plan cache poisoned")
-            .get(&key)
-            .cloned();
-        if let Some(plan) = hit {
-            if eprons_obs::enabled() {
-                eprons_obs::registry().counter("core.plan_cache.hits").inc();
-            }
-            return Ok(plan);
+        if let Some(e) = self.memo().get(&key) {
+            return e.plan.clone();
         }
-        let plan = Arc::new(NetworkPlan::build_masked(self, consolidation, &mask)?);
-        if eprons_obs::enabled() {
-            eprons_obs::registry()
-                .counter("core.plan_cache.misses")
-                .inc();
-        }
-        self.data
-            .plan_cache
-            .lock()
-            .expect("plan cache poisoned")
-            .insert(key, Arc::clone(&plan));
-        Ok(plan)
+        let plan = NetworkPlan::build_masked(self, consolidation, &mask).map(Arc::new);
+        self.memo().entry(key).or_insert_with(|| MemoEntry {
+            plan: plan.clone(),
+            results: HashMap::new(),
+        });
+        plan
+    }
+
+    fn memo(&self) -> MutexGuard<'_, HashMap<PlanKey, MemoEntry>> {
+        self.data.memo.lock().expect("evaluation memo poisoned")
     }
 
     /// The consolidation architecture `GreedyK` plans of this context
@@ -696,32 +649,9 @@ impl ScenarioContext {
         self.cfg.consolidate_strategy.effective(self.cfg.fat_tree_k)
     }
 
-    /// Drops every memoized stage-2 plan in this context (cold-baseline
-    /// hook for the perf bench; results are unaffected either way).
-    pub fn clear_plan_cache(&self) {
-        self.data
-            .plan_cache
-            .lock()
-            .expect("plan cache poisoned")
-            .clear();
-    }
-
-    /// Number of stage-2 plans currently memoized.
-    pub fn plan_cache_len(&self) -> usize {
-        self.data
-            .plan_cache
-            .lock()
-            .expect("plan cache poisoned")
-            .len()
-    }
-
-    /// Number of full evaluation results currently memoized.
-    pub fn eval_cache_len(&self) -> usize {
-        self.data
-            .eval_cache
-            .lock()
-            .expect("eval cache poisoned")
-            .len()
+    /// Number of (candidate, mask) entries in the evaluation memo.
+    pub fn memo_len(&self) -> usize {
+        self.memo().len()
     }
 
     /// Fans `candidates` out over the thread budget, evaluating each one
@@ -776,7 +706,7 @@ fn slot_key(spec: &ScenarioSpec) -> SlotKey {
 /// The day controller's sequential epoch loop asks for one context per
 /// evaluated spec; with demand quantized onto the warm-start grid a
 /// 24-epoch day visits only a handful of distinct operating points, so
-/// most epochs *revive* a slot — plan cache included — instead of
+/// most epochs *revive* a slot — evaluation memo included — instead of
 /// rebuilding the world. A miss rebinds demand from the most recent slot
 /// ([`ScenarioContext::rebind_demand`]), which shares the topology,
 /// arena, service model and pod-solve cache, so even misses skip the
@@ -791,6 +721,8 @@ pub struct DayContext {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    /// Result-memo tally shared by every context handed out.
+    tally: Arc<MemoTally>,
 }
 
 /// Point-in-time statistics of a [`DayContext`].
@@ -808,6 +740,14 @@ pub struct DayCacheStats {
     /// (the shared base — arena, service model — is excluded: it exists
     /// once regardless of slot count).
     pub bytes: u64,
+    /// Evaluations the result memo answered, across every context handed
+    /// out.
+    pub eval_hits: u64,
+    /// Evaluations that ran stages 2–4 (or failed consolidation) afresh.
+    pub eval_misses: u64,
+    /// Approximate bytes of memoized results (and cached failures) across
+    /// held slots.
+    pub eval_bytes: u64,
 }
 
 impl DayContext {
@@ -821,10 +761,11 @@ impl DayContext {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            tally: Arc::default(),
         }
     }
 
-    /// The context for `spec`: a revived slot (plan cache and all) on a
+    /// The context for `spec`: a revived slot (memo and all) on a
     /// hit; on a miss, a demand rebind from the most recent slot — or a
     /// full build for the very first one — inserted before returning.
     pub fn context_for(&self, spec: &ScenarioSpec) -> ScenarioContext {
@@ -845,7 +786,7 @@ impl DayContext {
         }
         let ctx = match slots.last() {
             Some((_, base)) => base.rebind_demand(spec),
-            None => ScenarioContext::build(&self.cfg, spec),
+            None => ScenarioContext::build_counted(&self.cfg, spec, Arc::clone(&self.tally)),
         };
         self.misses.fetch_add(1, Ordering::Relaxed);
         if obs_on {
@@ -864,45 +805,35 @@ impl DayContext {
         ctx
     }
 
-    /// Approximate bytes held by the evaluation-result memos across all
-    /// live slots (each entry is one [`ClusterRunResult`] — or a cached
-    /// failure — plus its active-switch id vector).
-    pub fn eval_footprint_bytes(&self) -> u64 {
-        let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        let mut bytes = 0usize;
-        for (_, ctx) in slots.iter() {
-            let evals = ctx
-                .data
-                .eval_cache
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            for outcome in evals.values() {
-                bytes += std::mem::size_of::<EvalOutcome>()
-                    + match &**outcome {
-                        Ok(r) => r.active_switch_ids.len() * std::mem::size_of::<usize>(),
-                        Err(_) => 0,
-                    };
-            }
-        }
-        bytes as u64
-    }
-
-    /// Current cache statistics (slot count, hit/miss/eviction totals,
-    /// approximate bytes held).
+    /// Current cache statistics: slot count, hit/miss/eviction totals,
+    /// approximate bytes held, and the result-memo tallies of every
+    /// context this day cache handed out (evicted ones included).
     pub fn stats(&self) -> DayCacheStats {
         let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        let mut bytes = 0usize;
+        let (mut bytes, mut eval_bytes) = (0usize, 0usize);
         for (_, ctx) in slots.iter() {
             let d = &*ctx.data;
             bytes += d.queries.len() * std::mem::size_of::<Query>()
                 + d.flows.len() * std::mem::size_of::<eprons_net::Flow>()
                 + d.pair_flow.len() * std::mem::size_of::<FlowId>();
-            let plans = d.plan_cache.lock().unwrap_or_else(|e| e.into_inner());
-            for plan in plans.values() {
-                bytes += plan
-                    .net_lat
-                    .iter()
-                    .map(|v| v.len() * std::mem::size_of::<(usize, f64, f64)>())
+            for entry in ctx.memo().values() {
+                match &entry.plan {
+                    Ok(plan) => {
+                        bytes += plan
+                            .net_lat
+                            .iter()
+                            .map(|v| v.len() * std::mem::size_of::<(usize, f64, f64)>())
+                            .sum::<usize>()
+                    }
+                    Err(_) => eval_bytes += std::mem::size_of::<ClusterError>(),
+                }
+                eval_bytes += entry
+                    .results
+                    .values()
+                    .map(|r| {
+                        std::mem::size_of::<ClusterRunResult>()
+                            + r.active_switch_ids.len() * std::mem::size_of::<usize>()
+                    })
                     .sum::<usize>();
             }
         }
@@ -912,6 +843,9 @@ impl DayContext {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             bytes: bytes as u64,
+            eval_hits: self.tally.hits.load(Ordering::Relaxed),
+            eval_misses: self.tally.misses.load(Ordering::Relaxed),
+            eval_bytes: eval_bytes as u64,
         }
     }
 }
@@ -956,9 +890,6 @@ impl NetworkPlan {
         }
         let d = &*ctx.data;
         let n = d.hosts.len();
-        let mut mask = excluded.to_vec();
-        mask.sort_unstable();
-        mask.dedup();
         let ccfg = ConsolidationConfig {
             scale_k: match consolidation {
                 ConsolidationSpec::GreedyK(k) => k,
@@ -966,7 +897,7 @@ impl NetworkPlan {
             },
             safety_margin_mbps: ctx.cfg.safety_margin_mbps,
             power: ctx.cfg.net_power.clone(),
-            excluded: mask,
+            excluded: normalized_mask(excluded),
         };
         // Consolidation routes through the shared path arena: identical
         // candidate paths, no per-candidate graph re-enumeration.
@@ -1206,21 +1137,6 @@ impl ServerEvaluation {
         if obs_on {
             eval_span.note(format!("scheme={} servers={n}", scheme.name()));
         }
-        // Day-scoped runs route each shard through the process-wide
-        // server-eval memo. The fingerprint covers the inputs the memo
-        // key cannot see through the call signature: the service model
-        // and the policy's identity — the scheme plus the TimeTrader
-        // target, the only scheme parameter that varies per plan.
-        let memo_on = serveval_memo_enabled();
-        let extern_fp = if memo_on {
-            let mut h = DefaultHasher::new();
-            service_fingerprint(&d.service).hash(&mut h);
-            scheme.name().hash(&mut h);
-            timetrader_target.to_bits().hash(&mut h);
-            h.finish()
-        } else {
-            0
-        };
         // Shards run on worker threads whose span stacks are empty, so
         // each attaches to the evaluation span by id.
         let eval_span_id = eval_span.id();
@@ -1242,23 +1158,13 @@ impl ServerEvaluation {
                 ServerScheme::EpronsServer => Box::new(AvgVpPolicy::eprons()),
                 ServerScheme::DeepSleep => Box::new(DeepSleepPolicy::new()),
             };
-            let (r, memo_hit) = simulate_core_memoized(
+            let r = simulate_core(
                 policy.as_mut(),
                 &mut engine,
                 arrivals,
                 &core_cfg,
                 d.server_seeds[s],
-                extern_fp,
             );
-            if memo_on && eprons_obs::enabled() {
-                eprons_obs::registry()
-                    .counter(if memo_hit {
-                        "core.serveval.hits"
-                    } else {
-                        "core.serveval.misses"
-                    })
-                    .inc();
-            }
             let end = r.sim_end_s.max(d.horizon_s);
             let span = end - d.warmup_s;
             let trailing_idle_w = policy

@@ -2,18 +2,18 @@
 //! counter arithmetic.
 //!
 //! The incremental machinery (the [`DayContext`] LRU, demand rebinds,
-//! the process-wide server-evaluation memo) must be invisible in
+//! the per-context evaluation memos) must be invisible in
 //! results: a day run with `DayScopeConfig { incremental: true }` is
 //! bit-for-bit the day run with `incremental: false` (the per-epoch
 //! rebuild baseline), including under mid-day failures and across every
 //! consolidation strategy. The constant-trace test then pins the cache
 //! arithmetic exactly: a constant day has one operating point, so the
-//! day cache misses once and hits every remaining epoch, and the server
-//! memo replays the first epoch's evaluations verbatim.
+//! day cache misses once and hits every remaining epoch, and the
+//! evaluation memo answers every later epoch from the first one.
 //!
-//! Own test binary: the serveval memo and the obs counters are
-//! process-global, so tests serialize on a static mutex and no other
-//! test binary's counters can race the arithmetic.
+//! Own test binary: the obs counters and the journal are process-global,
+//! so tests serialize on a static mutex and no other test binary's
+//! counters can race the arithmetic.
 
 use std::sync::Mutex;
 
@@ -26,8 +26,8 @@ use eprons_core::{
 };
 use eprons_topo::FatTree;
 
-/// Serializes the tests in this binary: the server memo and the obs
-/// counter registry are process-global.
+/// Serializes the tests in this binary: the obs counter registry and the
+/// journal are process-global.
 static GLOBAL_STATE: Mutex<()> = Mutex::new(());
 
 fn core_failure(cfg: &ClusterConfig) -> FailureSchedule {
@@ -134,8 +134,9 @@ fn incremental_day_is_bit_identical_across_strategies() {
 
 /// A constant replay day has exactly one operating point, which pins
 /// the cache counters: the day cache misses once (the first epoch's
-/// build) and hits every other epoch; the server memo replays the first
-/// epoch's evaluations on every later epoch; and a single-pod failure
+/// build) and hits every other epoch; the evaluation memo answers every
+/// later epoch from the first epoch's evaluation, so each ISN is
+/// simulated once per memo miss; and a single-pod failure
 /// still re-solves exactly the owning pod against the shared pod cache.
 #[test]
 fn constant_day_pins_cache_counter_arithmetic() {
@@ -192,20 +193,38 @@ fn constant_day_pins_cache_counter_arithmetic() {
         (
             reg.counter("core.daycache.hits").get(),
             reg.counter("core.daycache.misses").get(),
-            reg.counter("core.serveval.hits").get(),
-            reg.counter("core.serveval.misses").get(),
+            reg.histogram("core.cluster.server_shard_s", eprons_obs::DURATION_EDGES_S)
+                .snapshot()
+                .count,
             reg.counter("net.pods.solved").get(),
             reg.counter("net.pods.cache_hits").get(),
-            reg.counter("core.evalcache.hits").get(),
-            reg.counter("core.evalcache.misses").get(),
         )
+    };
+    // The result-memo tallies of the day that journaled since `mark`,
+    // from its `core.evalcache` report.
+    let eval_report = |mark: usize| {
+        eprons_obs::journal().snapshot()[mark..]
+            .iter()
+            .find_map(|e| match &e.event {
+                eprons_obs::Event::DayCacheReport {
+                    cache,
+                    hits,
+                    misses,
+                    ..
+                } if cache == "core.evalcache" => Some((*hits, *misses)),
+                _ => None,
+            })
+            .expect("an incremental day reports its evaluation memo")
     };
     eprons_obs::set_enabled(true);
     let c0 = counters();
+    let m0 = eprons_obs::journal().len();
     let clean = simulate_day(&cfg, &strategy, &day);
     let c1 = counters();
+    let m1 = eprons_obs::journal().len();
     let failed = simulate_day_with_failures(&cfg, &strategy, &day, &schedule);
     let c2 = counters();
+    let (clean_ec, failed_ec) = (eval_report(m0), eval_report(m1));
     eprons_obs::set_enabled(false);
 
     // Day cache: one build, then every epoch revives the same slot.
@@ -227,8 +246,7 @@ fn constant_day_pins_cache_counter_arithmetic() {
     // point once and serves every later epoch from the cache. The
     // failure day adds exactly one more distinct point — the masked
     // evaluation of the failure window.
-    let ec_hits = c1.6 - c0.6;
-    let ec_misses = c1.7 - c0.7;
+    let (ec_hits, ec_misses) = clean_ec;
     assert_eq!(ec_misses, 1, "a constant day is one operating point");
     assert_eq!(
         ec_hits,
@@ -236,44 +254,38 @@ fn constant_day_pins_cache_counter_arithmetic() {
         "later epochs must serve the memoized result"
     );
     assert_eq!(
-        c2.7 - c1.7,
-        2,
+        failed_ec.1, 2,
         "the failure day evaluates exactly one extra (masked) point"
     );
     assert_eq!(
-        c2.6 - c1.6,
+        failed_ec.0,
         (epochs - 1) as u64,
         "failure-day repeats must still serve the memoized result"
     );
 
-    // Server memo: with the result memo answering the repeat epochs,
-    // stage 3 runs only on result-memo misses — each ISN is simulated
-    // exactly once per distinct operating point (16 servers at k = 4),
-    // and nothing ever asks the server memo twice. (Its hits come from
-    // *partial* overlap between distinct operating points — the replay
-    // harness's territory, not a constant day's.)
+    // Stage 3 runs only on result-memo misses: each ISN (16 servers at
+    // k = 4) is simulated exactly once per miss, so the server-shard
+    // count is the miss count times the server count.
     let n_servers = (cfg.fat_tree_k * cfg.fat_tree_k * cfg.fat_tree_k) as u64 / 4;
-    let sv_hits = c1.2 - c0.2;
-    let sv_misses = c1.3 - c0.3;
     assert_eq!(
-        sv_misses, n_servers,
+        c1.2 - c0.2,
+        ec_misses * n_servers,
         "the clean day's one stage-3 run must simulate each ISN once"
     );
-    assert_eq!(sv_hits, 0, "no repeat lookups reach the server memo");
     assert_eq!(
-        c2.3 - c1.3,
-        2 * n_servers,
+        c2.2 - c1.2,
+        failed_ec.1 * n_servers,
         "the failure day's two stage-3 runs must simulate each ISN twice"
     );
 
     // Pod cache: the clean day consolidates once (first epoch; later
-    // epochs hit the revived plan cache and never consolidate). The
+    // epochs hit the revived evaluation memo and never consolidate). The
     // failure day adds exactly one masked reconsolidation: one pod
     // solved fresh, the other three served from the shared pod cache.
-    let clean_solved = c1.4 - c0.4;
-    let clean_pod_hits = c1.5 - c0.5;
-    let failed_solved = c2.4 - c1.4;
-    let failed_pod_hits = c2.5 - c1.5;
+    let clean_solved = c1.3 - c0.3;
+    let clean_pod_hits = c1.4 - c0.4;
+    let failed_solved = c2.3 - c1.3;
+    let failed_pod_hits = c2.4 - c1.4;
     assert!(clean_solved > 0, "the clean day must run the decomposition");
     assert_eq!(
         failed_solved,

@@ -13,11 +13,13 @@
 //! CI machines with any core count exercise both paths: budget 4 still
 //! spawns helper threads on a single-core runner.
 
+use std::sync::Barrier;
+
 use eprons_core::scenario::{ScenarioContext, ScenarioSpec};
 use eprons_core::{
     candidate_power_floor_w, optimize_in_context_masked, optimize_in_context_pruned,
-    optimize_total_power, run_cluster, set_plan_cache_enabled, set_thread_budget, ClusterConfig,
-    ClusterRun, ClusterRunResult, ConsolidationSpec, ServerScheme,
+    optimize_total_power, run_cluster, set_thread_budget, ClusterConfig, ClusterRun,
+    ClusterRunResult, ConsolidationSpec, DayCacheStats, DayContext, ServerScheme,
 };
 use eprons_server::clear_equiv_cache;
 use eprons_topo::AggregationLevel;
@@ -159,7 +161,10 @@ fn with_sla_reuses_the_build_without_changing_the_physics() {
     // `with_sla` swaps the SLA without rebuilding: the cached state
     // (topology, service model, workloads, RNG snapshots) is
     // SLA-independent, so evaluating under the swapped SLA must equal a
-    // from-scratch build under that SLA, bit for bit.
+    // from-scratch build under that SLA, bit for bit. The clone shares
+    // the evaluation memo, so the same candidate is first evaluated
+    // under the default SLA: the tight result must not be served from
+    // that entry.
     let cfg = ClusterConfig::default();
     let template = short_run(ServerScheme::EpronsServer, ConsolidationSpec::AllOn);
     let ctx = ScenarioContext::build(&cfg, &ScenarioSpec::of_run(&template));
@@ -168,19 +173,34 @@ fn with_sla_reuses_the_build_without_changing_the_physics() {
     let tight_ctx = ctx.with_sla(tight_cfg.sla.clone());
     let spec = ConsolidationSpec::Level(AggregationLevel::Agg2);
     let run = short_run(ServerScheme::EpronsServer, spec);
+    let default_sla = ctx.evaluate(ServerScheme::EpronsServer, spec).unwrap();
+    assert_eq!(
+        result_bits(&default_sla),
+        result_bits(&run_cluster(&cfg, &run).unwrap())
+    );
     let fresh = run_cluster(&tight_cfg, &run).unwrap();
     let reused = tight_ctx
         .evaluate(ServerScheme::EpronsServer, spec)
         .unwrap();
     assert_eq!(result_bits(&fresh), result_bits(&reused));
+    assert_ne!(
+        result_bits(&default_sla),
+        result_bits(&reused),
+        "the tight SLA must change the result"
+    );
+    // One shared plan, a result per SLA, both served on repeat.
+    assert_eq!(ctx.memo_len(), 1);
+    let again = ctx.evaluate(ServerScheme::EpronsServer, spec).unwrap();
+    assert_eq!(result_bits(&default_sla), result_bits(&again));
 }
 
 #[test]
 fn pruned_warm_sweep_matches_exhaustive_cold_sweep_bit_for_bit() {
-    // The PR-5 golden pin: the warm path (shared context, plan cache on,
-    // bound-ordered pruned sweep, optional ordering hint) must pick the
-    // same candidate with the same float bits as the cold pre-PR path
-    // (plan cache off, exhaustive sweep) — for every server scheme over
+    // The golden pin of the warm-started search: the warm path (shared
+    // context and evaluation memo, bound-ordered pruned sweep, optional
+    // ordering hint) must pick the same candidate with the same float
+    // bits as the cold path (a fresh context, exhaustive sweep) — for
+    // every server scheme over
     // the full aggregation ladder, and for a GreedyK ladder. Pruning may
     // only skip candidates whose *sound* power lower bound strictly
     // exceeds a feasible incumbent's measured total, and hints only
@@ -202,10 +222,9 @@ fn pruned_warm_sweep_matches_exhaustive_cold_sweep_bit_for_bit() {
     ];
     for candidates in [&ladder, &greedy] {
         for scheme in schemes {
+            let cold_ctx = ScenarioContext::build(&cfg, &ScenarioSpec::of_run(&template));
+            let (cold, cold_fail) = optimize_in_context_masked(&cold_ctx, scheme, candidates, &[]);
             let ctx = ScenarioContext::build(&cfg, &ScenarioSpec::of_run(&template));
-            set_plan_cache_enabled(false);
-            let (cold, cold_fail) = optimize_in_context_masked(&ctx, scheme, candidates, &[]);
-            set_plan_cache_enabled(true);
             // Hints are ordering advice: correct, wrong, and absent hints
             // must all reproduce the cold sweep exactly.
             let hints = [None, Some(candidates[0]), cold.as_ref().map(|c| c.spec)];
@@ -297,27 +316,97 @@ fn pruning_skips_dominated_candidates_at_light_load() {
 
 #[test]
 fn plan_cache_hits_are_bit_identical_to_rebuilds() {
-    // A cached NetworkPlan must be indistinguishable from a rebuilt one:
-    // the consolidation RNG fork is stored unconsumed and cloned per
-    // build, so the plan is a pure function of (context, spec, mask).
+    // A memoized NetworkPlan must be indistinguishable from a rebuilt
+    // one: the consolidation RNG fork is stored unconsumed and cloned per
+    // build, so the plan is a pure function of (context, spec, mask). A
+    // second scheme evaluated on the memoized plan must equal its own
+    // evaluation against a fresh context, and a repeat is served whole.
     let cfg = ClusterConfig::default();
     let template = short_run(ServerScheme::EpronsServer, ConsolidationSpec::AllOn);
-    let ctx = ScenarioContext::build(&cfg, &ScenarioSpec::of_run(&template));
+    let fresh = || ScenarioContext::build(&cfg, &ScenarioSpec::of_run(&template));
+    let ctx = fresh();
     let spec = ConsolidationSpec::Level(AggregationLevel::Agg2);
-    set_plan_cache_enabled(false);
-    let rebuilt = ctx.evaluate(ServerScheme::EpronsServer, spec).unwrap();
-    set_plan_cache_enabled(true);
-    ctx.clear_plan_cache();
-    let miss = ctx.evaluate(ServerScheme::EpronsServer, spec).unwrap();
-    assert!(
-        ctx.plan_cache_len() >= 1,
-        "miss path must populate the cache"
-    );
-    let hit = ctx.evaluate(ServerScheme::EpronsServer, spec).unwrap();
-    assert_eq!(result_bits(&rebuilt), result_bits(&miss));
-    assert_eq!(result_bits(&miss), result_bits(&hit));
-    ctx.clear_plan_cache();
-    assert_eq!(ctx.plan_cache_len(), 0);
+    for scheme in [ServerScheme::EpronsServer, ServerScheme::Rubik] {
+        let rebuilt = fresh().evaluate(scheme, spec).unwrap();
+        let miss = ctx.evaluate(scheme, spec).unwrap();
+        assert_eq!(ctx.memo_len(), 1, "one plan entry serves every scheme");
+        let hit = ctx.evaluate(scheme, spec).unwrap();
+        assert_eq!(result_bits(&rebuilt), result_bits(&miss));
+        assert_eq!(result_bits(&miss), result_bits(&hit));
+    }
+}
+
+#[test]
+fn two_days_in_one_process_match_their_sequential_runs() {
+    // Each day's caches belong to its own DayContext: two days driven
+    // concurrently from two threads must produce exactly the results and
+    // the cache statistics they produce one after the other.
+    let cfg = ClusterConfig::default();
+    let ladder = [
+        ConsolidationSpec::AllOn,
+        ConsolidationSpec::Level(AggregationLevel::Agg2),
+        ConsolidationSpec::GreedyK(2.0),
+    ];
+    let spec = |seed: u64, util: f64, bg: f64| ScenarioSpec {
+        server_utilization: util,
+        background_util: bg,
+        duration_s: 0.5,
+        warmup_s: 0.0,
+        seed,
+    };
+    // Revisits, rebinds and (with two slots) an eviction in each day.
+    let days = [
+        vec![
+            spec(11, 0.2, 0.1),
+            spec(11, 0.3, 0.1),
+            spec(11, 0.2, 0.1),
+            spec(11, 0.3, 0.2),
+            spec(11, 0.3, 0.2),
+        ],
+        vec![
+            spec(12, 0.4, 0.2),
+            spec(12, 0.4, 0.2),
+            spec(12, 0.1, 0.3),
+            spec(12, 0.25, 0.1),
+            spec(12, 0.1, 0.3),
+        ],
+    ];
+    // Every step waits on `step`, so concurrent days advance in lockstep
+    // and each step's evaluations overlap the other day's.
+    let run_day = |specs: &[ScenarioSpec], step: &Barrier| -> (Vec<Vec<u64>>, DayCacheStats) {
+        let dc = DayContext::new(&cfg, 2);
+        let mut bits = Vec::new();
+        for s in specs {
+            step.wait();
+            let ctx = dc.context_for(s);
+            for &c in &ladder {
+                bits.push(match ctx.evaluate(ServerScheme::EpronsServer, c) {
+                    Ok(r) => result_bits(&r),
+                    Err(e) => vec![e.to_string().len() as u64],
+                });
+            }
+        }
+        (bits, dc.stats())
+    };
+    let sequential: Vec<_> = days.iter().map(|d| run_day(d, &Barrier::new(1))).collect();
+    let lockstep = Barrier::new(days.len());
+    let concurrent: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = days
+            .iter()
+            .map(|d| s.spawn(|| run_day(d, &lockstep)))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (day, (seq, con)) in sequential.iter().zip(&concurrent).enumerate() {
+        assert_eq!(seq.0, con.0, "day {day}: results diverged");
+        assert_eq!(seq.1, con.1, "day {day}: cache statistics diverged");
+        assert!(seq.1.eval_hits > 0, "day {day} revisits an operating point");
+        assert_eq!(
+            seq.1.eval_hits + seq.1.eval_misses,
+            (days[day].len() * ladder.len()) as u64,
+            "day {day}: every evaluation is tallied once"
+        );
+    }
 }
 
 #[test]

@@ -47,8 +47,7 @@ fn equiv_cache() -> &'static Mutex<HashMap<u64, Arc<Vec<Pmf>>>> {
 /// Bit-exact fingerprint of a service model: the work PMF's grid and
 /// masses plus the fixed time. Two models hash equal iff every input to
 /// the self-convolution recurrence is identical, which makes prefix
-/// sharing invisible to results. Also a component of the
-/// [`crate::memo`] server-evaluation key.
+/// sharing invisible to results.
 pub fn service_fingerprint(service: &ServiceModel) -> u64 {
     let mut h = DefaultHasher::new();
     let pmf = service.work_pmf();
