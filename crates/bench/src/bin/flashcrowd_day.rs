@@ -19,10 +19,11 @@
 //! * day total energy *including* transition energy is no worse;
 //! * the online day misses the SLA on no more epochs than batch.
 //!
-//! The online timeline lands in `results/flashcrowd_day.csv` (bit-identical
-//! across reruns and thread budgets — the online loop is sequential and
-//! the epoch internals are determinism-hardened), and the metrics land in
-//! `BENCH_flashcrowd.json` for the CI regression gate.
+//! The online timeline lands in `results/flashcrowd_day.csv` (or at
+//! `--csv <path>`; bit-identical across reruns and thread budgets — the
+//! online loop is sequential and the epoch internals are
+//! determinism-hardened), and the metrics land in `BENCH_flashcrowd.json`
+//! (or at `--out <path>`) for the CI regression gate.
 
 use eprons_bench::{arg_value, banner, finish, quick, BASE_SEED};
 use eprons_core::controller::{
@@ -59,12 +60,22 @@ fn out_arg() -> std::path::PathBuf {
         .into()
 }
 
+/// The `--csv <path>` (or `--csv=<path>`) argument: where the online
+/// timeline goes. Defaults to the committed full-run
+/// `results/flashcrowd_day.csv`, so quick and CI runs pass a scratch path
+/// instead.
+fn csv_arg() -> std::path::PathBuf {
+    arg_value("csv", "a path")
+        .unwrap_or_else(|| "results/flashcrowd_day.csv".into())
+        .into()
+}
+
 fn main() {
     banner(
         "Flash-crowd day",
         "online hysteresis + deferral vs. epoch-batch on an adversarial trace",
     );
-    let out = out_arg();
+    let (out, csv) = (out_arg(), csv_arg());
     let cfg = ClusterConfig::default();
     let crowd = FlashCrowd::reference();
     let window = crowd.ramp_window();
@@ -198,9 +209,13 @@ fn main() {
     );
     println!("\ncontract holds: >=30% churn cut, energy no worse, SLA no worse");
 
-    std::fs::create_dir_all("results").expect("create results/");
-    let csv = std::path::Path::new("results/flashcrowd_day.csv");
-    save_day_csv(&online, csv).expect("write timeline CSV");
+    if let Some(dir) = csv.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).expect("create the timeline's directory");
+    }
+    save_day_csv(&online, &csv).unwrap_or_else(|e| {
+        eprintln!("failed to write {}: {e}", csv.display());
+        std::process::exit(1);
+    });
     println!("timeline written to {}", csv.display());
 
     // Machine-readable artifact for the CI gate (committed from a full

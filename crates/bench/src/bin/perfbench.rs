@@ -14,12 +14,11 @@
 //!   variants: `serial_cold` (one thread, fresh context per sweep, so
 //!   every evaluation misses the context's memo, exhaustive sweep — the
 //!   pre-warm-start shape), `serial_warm` (one thread, shared context
-//!   whose evaluation memo answers every repeat, the bound-pruned sweep
-//!   with the previous winner as ordering hint — the incremental day's
-//!   revived-context shape), and `parallel_warm` (the
-//!   warm shape under a thread budget equal to host parallelism; skipped
-//!   with a recorded reason on a single-core host, where it could only
-//!   re-measure `serial_warm` plus thread overhead);
+//!   whose evaluation memo answers every repeat, plus the bound-pruned
+//!   sweep — the incremental day's revived-context shape), and
+//!   `parallel_warm` (the warm shape under a thread budget equal to host
+//!   parallelism; skipped with a recorded reason on a single-core host,
+//!   where it could only re-measure `serial_warm` plus thread overhead);
 //! * `ladder_warm_start/*` — the consolidation MILP's LP relaxation
 //!   chained across a descending K ladder: the cold chain re-solves
 //!   every rung from scratch (phase 1 + phase 2 per rung), the warm
@@ -182,19 +181,15 @@ fn main() {
     });
     // `serial_warm` is the incremental day's revived-context shape: one
     // shared context whose evaluation memo answers every repeat (each
-    // candidate is evaluated once, ever), the bound-pruned sweep skipping
-    // dominated candidates, and the previous sweep's winner as the
-    // ordering hint — the same spec the cold sweep picks, by the
-    // determinism contract.
+    // candidate is evaluated once, ever) and the bound-pruned sweep
+    // skipping dominated candidates — the same spec the cold sweep
+    // picks, by the determinism contract.
     let warm_ctx = ScenarioContext::for_template(&cfg, &template);
-    let mut warm_hint: Option<ConsolidationSpec> = None;
     r.bench("optimize_total_power/agg_ladder/serial_warm", || {
-        let choice =
-            optimize_in_context_pruned(&warm_ctx, template.scheme, &candidates, &[], warm_hint)
-                .0
-                .unwrap();
-        warm_hint = Some(choice.spec);
-        choice.spec
+        optimize_in_context_pruned(&warm_ctx, template.scheme, &candidates, &[])
+            .0
+            .unwrap()
+            .spec
     });
     set_thread_budget(None);
     // The parallel variant needs real cores to say anything: a 1-core
@@ -205,13 +200,11 @@ fn main() {
     let parallel_skip = if host_threads > 1 {
         set_thread_budget(Some(parallel_budget));
         let ctx = ScenarioContext::for_template(&cfg, &template);
-        let mut hint: Option<ConsolidationSpec> = None;
         r.bench("optimize_total_power/agg_ladder/parallel_warm", || {
-            let choice = optimize_in_context_pruned(&ctx, template.scheme, &candidates, &[], hint)
+            optimize_in_context_pruned(&ctx, template.scheme, &candidates, &[])
                 .0
-                .unwrap();
-            hint = Some(choice.spec);
-            choice.spec
+                .unwrap()
+                .spec
         });
         set_thread_budget(None);
         None

@@ -27,7 +27,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use eprons_net::failure::{DegradationPolicy, DegradationStage, FailureEventKind, FailureSchedule};
+use eprons_net::failure::{
+    DegradationPolicy, DegradationStage, FailureEvent, FailureEventKind, FailureSchedule,
+};
 use eprons_net::flow::FlowId;
 use eprons_net::transition::{worth_switching, Churn, TransitionModel};
 use eprons_net::{Assignment, DemandPredictor, NetworkState};
@@ -39,7 +41,7 @@ use eprons_workload::diurnal::{DiurnalProfile, MINUTES_PER_DAY};
 use crate::accounting::PowerBreakdown;
 use crate::cluster::{ClusterRun, ClusterRunResult, ConsolidationSpec, ServerScheme};
 use crate::config::{ClusterConfig, DayScopeConfig, DeferralConfig, HysteresisConfig, OnlineConfig};
-use crate::optimizer::{optimize_in_context, optimize_in_context_pruned};
+use crate::optimizer::{optimize_in_context, optimize_in_context_pruned, JointChoice};
 use crate::parallel::parallel_map;
 use crate::scenario::{DayContext, ScenarioContext, ScenarioSpec};
 
@@ -72,12 +74,23 @@ impl DayStrategy {
 
 /// What an epoch runs: its result, whether it meets the SLA, the
 /// degradation rung it fell to, and the configuration.
-type EpochPick = (
-    ClusterRunResult,
-    bool,
-    Option<DegradationStage>,
-    ConsolidationSpec,
-);
+struct EpochPick {
+    result: ClusterRunResult,
+    feasible: bool,
+    degradation: Option<DegradationStage>,
+    spec: ConsolidationSpec,
+}
+
+impl EpochPick {
+    fn chosen(c: JointChoice, degradation: Option<DegradationStage>) -> EpochPick {
+        EpochPick {
+            result: c.result,
+            feasible: c.feasible,
+            degradation,
+            spec: c.spec,
+        }
+    }
+}
 
 /// One epoch's record in the day timeline.
 #[derive(Debug, Clone)]
@@ -132,13 +145,10 @@ pub struct DayConfig {
     pub peak_utilization: f64,
     /// Master seed.
     pub seed: u64,
-    /// Carry each epoch's winning configuration into the next epoch's
-    /// ladder search as an ordering hint (EPRONS strategy only). Epochs
-    /// then run sequentially instead of fanning out, trading epoch-level
-    /// parallelism for warm-started searches; the timeline itself is
-    /// bit-identical either way (the hint never changes a choice, only
-    /// the evaluation order). The hint is dropped whenever the failure
-    /// mask or the demand fingerprint moved since the previous epoch.
+    /// Ignored. The day loop is chosen from what the day carries (see
+    /// [`simulate_day_with_failures`]), never from a switch; the field
+    /// stays only so callers that build `DayConfig` field by field keep
+    /// compiling, and goes with the next change to those callers.
     pub warm_start: bool,
     /// Search-load trace for the day. Defaults to the paper's sinusoidal
     /// diurnal profile; swap in a [`TraceScenario::FlashCrowd`] or
@@ -215,6 +225,59 @@ impl HysteresisState {
             .iter()
             .chain(churn.turned_off.iter())
             .any(|s| self.cooldown.get(s).is_some_and(|&c| c > 0))
+    }
+
+    /// The online filter on epoch `e`'s reconfiguration: the previous
+    /// epoch's configuration, measured, when the filter holds it against
+    /// the optimizer's `pick`, else `None`. It holds
+    /// when the priced transition energy would not pay back within the
+    /// horizon, or when a toggled switch is still cooling down while
+    /// holding is cheap. It never trades `pick` for an SLA-infeasible
+    /// hold.
+    fn hold(
+        &self,
+        cfg: &ClusterConfig,
+        ctx: &ScenarioContext,
+        scheme: ServerScheme,
+        mask: &[NodeId],
+        pick: &EpochPick,
+        e: usize,
+    ) -> Option<EpochPick> {
+        let prev_spec = self.prev_spec.filter(|&s| s != pick.spec)?;
+        let hold = ctx.evaluate_masked(scheme, prev_spec, mask).ok()?;
+        let churn = Churn::between(&hold.active_switch_ids, &pick.result.active_switch_ids);
+        let saving_w = hold.breakdown.total_w() - pick.result.breakdown.total_w();
+        let transition_j = self.model.transition_energy_j(&churn);
+        let horizon_s = self.knobs.payback_horizon_epochs as f64 * self.epoch_s;
+        let pays_back =
+            worth_switching(&self.model, &churn, saving_w, horizon_s, self.knobs.margin);
+        // A cooldown hold is anti-flap insurance; it is only worth buying
+        // while holding is cheap — one epoch of the forgone power saving
+        // must not exceed the transition energy the hold avoids re-paying.
+        let cooling = self.any_cooling(&churn)
+            && saving_w.max(0.0) * self.epoch_s <= self.knobs.margin * transition_j;
+        if !hold.is_feasible(cfg) || (pays_back && !cooling) {
+            return None;
+        }
+        if eprons_obs::enabled() {
+            eprons_obs::registry()
+                .counter("core.hysteresis.holds")
+                .inc();
+            eprons_obs::record(eprons_obs::Event::HysteresisHold {
+                epoch: e as u64,
+                desired: pick.spec.label(),
+                held: prev_spec.label(),
+                saving_w,
+                transition_j,
+                reason: if cooling { "cooldown" } else { "payback" }.to_string(),
+            });
+        }
+        Some(EpochPick {
+            result: hold,
+            feasible: true,
+            degradation: None,
+            spec: prev_spec,
+        })
     }
 
     /// Closes an epoch: ages every cooldown by one epoch, then quarantines
@@ -400,8 +463,13 @@ pub fn simulate_day(
 /// recovered switch rejoins the candidate pool at the next epoch
 /// boundary (its 72.52 s boot makes it useless mid-epoch anyway).
 ///
-/// Epochs stay independent given the schedule (pure data), so the day
-/// still evaluates in parallel and is a pure function of its arguments.
+/// Every epoch runs through the one `step`. Epochs run in sequence when
+/// the day carries state across them (the online controller, a day
+/// cache) or runs EPRONS, whose candidate- and server-level fan-out
+/// inside each epoch already fills the thread budget and whose peak
+/// memory stays at one epoch's working set that way; otherwise they fan
+/// out across the thread budget. The schedule is pure data, so either
+/// way the day is a pure function of its arguments.
 pub fn simulate_day_with_failures(
     cfg: &ClusterConfig,
     strategy: &DayStrategy,
@@ -414,10 +482,9 @@ pub fn simulate_day_with_failures(
     let epochs = MINUTES_PER_DAY / day.epoch_minutes;
     let obs_on = eprons_obs::enabled();
     // Root of the day's causal-span tree; epoch spans attach to it by id
-    // because the cold path fans epochs out across worker threads.
+    // because fanned-out epochs run on worker threads.
     let mut day_span = eprons_obs::Span::enter("day");
     day_span.note(format!("strategy={} epochs={epochs}", strategy.name()));
-    let day_span_id = day_span.id();
     if obs_on {
         eprons_obs::record(eprons_obs::Event::DayStart {
             strategy: strategy.name().to_string(),
@@ -435,648 +502,48 @@ pub fn simulate_day_with_failures(
     // The controller predicts each epoch's background demand as the 90th
     // percentile of the previous epoch's per-minute observations (§II).
     let mut predictor = DemandPredictor::paper_default(1);
-    let mut predicted_bg: Vec<f64> = Vec::with_capacity(epochs);
-    for e in 0..epochs {
-        let start = e * day.epoch_minutes;
-        // Act on the last epoch's prediction (first epoch: observe only).
-        let predicted = predictor.predict(FlowId(0)).unwrap_or(background[start]);
-        predicted_bg.push(predicted.clamp(0.01, 0.95));
-        for &obs in &background[start..start + day.epoch_minutes] {
-            predictor.observe(FlowId(0), obs);
-        }
-        predictor.roll_epoch();
-    }
-
-    // Epochs are independent given their inputs: evaluate in parallel.
-    let inputs: Vec<(usize, f64, f64)> = (0..epochs)
+    let epoch_inputs: Vec<EpochInput> = (0..epochs)
         .map(|e| {
-            let mid = (e * day.epoch_minutes) as f64 + day.epoch_minutes as f64 / 2.0;
-            let load = search[(mid as usize).min(MINUTES_PER_DAY - 1)];
-            (e, mid, load)
+            let start = e * day.epoch_minutes;
+            // Act on the last epoch's prediction (first epoch: observe only).
+            let predicted = predictor.predict(FlowId(0)).unwrap_or(background[start]);
+            for &obs in &background[start..start + day.epoch_minutes] {
+                predictor.observe(FlowId(0), obs);
+            }
+            predictor.roll_epoch();
+            let minute = start as f64 + day.epoch_minutes as f64 / 2.0;
+            EpochInput {
+                epoch: e,
+                minute,
+                load: search[(minute as usize).min(MINUTES_PER_DAY - 1)],
+                predicted_bg: predicted.clamp(0.01, 0.95),
+            }
         })
         .collect();
 
-    // One epoch's full evaluation, optionally warm-started with the
-    // previous epoch's winning configuration (an ordering hint for the
-    // pruned ladder search — never a result change). Returns the record
-    // plus the configuration that was actually live when the epoch ended,
-    // which is what the next epoch's search should start from.
-    let eval_epoch = |e: usize,
-                      minute: f64,
-                      load: f64,
-                      bg: f64,
-                      warm_hint: Option<ConsolidationSpec>,
-                      hyst: Option<&mut HysteresisState>,
-                      day_ctx: Option<&DayContext>|
-     -> (DayRecord, ConsolidationSpec) {
-        let mut epoch_span = eprons_obs::Span::enter_under(day_span_id, "epoch");
-        // Day scope: a constant master seed and grid-quantized demand, so
-        // epochs at the same operating point present bit-identical specs.
-        // The utilization floor rises to one grid step (a zero-query
-        // epoch has no tail to measure); quantization applies on the
-        // rebuild baseline exactly as on the incremental path, which is
-        // what makes the two bit-comparable.
-        let day_scoped = day.day_scope.is_some();
-        let (util, bg) = if day_scoped {
-            (
-                quantize_demand((day.peak_utilization * load).max(0.02)).max(0.05),
-                quantize_demand(bg),
-            )
-        } else {
-            ((day.peak_utilization * load).max(0.02), bg)
-        };
-        if obs_on {
-            eprons_obs::record(eprons_obs::Event::EpochStart {
-                epoch: e as u64,
-                minute,
-                search_load: load,
-                background_util: bg,
-            });
-        }
-        let template = ClusterRun {
-            scheme: ServerScheme::EpronsServer,
-            consolidation: ConsolidationSpec::AllOn,
-            server_utilization: util,
-            background_util: bg,
-            duration_s: day.sim_seconds,
-            warmup_s: 0.0,
-            seed: if day_scoped {
-                day.seed
-            } else {
-                day.seed ^ (e as u64).wrapping_mul(0x9E37_79B9)
-            },
-        };
-        let run = match strategy {
-            DayStrategy::NoPowerManagement => ClusterRun {
-                scheme: ServerScheme::NoPowerManagement,
-                ..template
-            },
-            DayStrategy::TimeTrader => ClusterRun {
-                scheme: ServerScheme::TimeTrader,
-                // Let the 5 s feedback loop settle before scoring.
-                warmup_s: 60.0,
-                ..template
-            },
-            DayStrategy::Eprons { .. } => template,
-        };
-        let scheme = run.scheme;
-        let start = (e * day.epoch_minutes) as f64;
-        let end = start + day.epoch_minutes as f64;
-        // Switches down when the epoch opens are masked out of every
-        // candidate this epoch considers.
-        let mut mask: Vec<NodeId> = schedule.failed_at(start).into_iter().map(NodeId).collect();
-        let mut failed_switches: Vec<usize> = mask.iter().map(|n| n.0).collect();
-
-        // One scenario context per epoch; the optimizer's candidate
-        // ladder shares it, so each candidate pays only consolidation +
-        // latency sampling + DVFS simulation. Incremental day-scoped
-        // runs go further and fetch the context from the day cache,
-        // reviving earlier epochs' contexts (evaluation memo included).
-        let ctx = match day_ctx {
-            Some(dc) => dc.context_for(&ScenarioSpec::of_run(&run)),
-            None => ScenarioContext::for_template(cfg, &run),
-        };
-        // The all-on configuration around the mask when it routes (its SLA
-        // measured, `masked_stage` recorded), else all-on over broken
-        // hardware with the SLA forced false.
-        let all_on = |masked_stage: Option<DegradationStage>| -> EpochPick {
-            match ctx.evaluate_masked(scheme, ConsolidationSpec::AllOn, &mask) {
-                Ok(r) => {
-                    let f = r.is_feasible(cfg);
-                    (r, f, masked_stage, ConsolidationSpec::AllOn)
-                }
-                Err(_) => {
-                    let r = ctx
-                        .evaluate(scheme, ConsolidationSpec::AllOn)
-                        .expect("all-on never fails");
-                    (
-                        r,
-                        false,
-                        Some(DegradationStage::Unprotected),
-                        ConsolidationSpec::AllOn,
-                    )
-                }
-            }
-        };
-        let (mut result, mut base_feasible, mut degradation, mut spec): EpochPick = match strategy {
-            DayStrategy::Eprons { candidates } => {
-                match optimize_in_context_pruned(&ctx, scheme, candidates, &mask, warm_hint).0 {
-                    Some(c) => (c.result, c.feasible, None, c.spec),
-                    // The mask leaves no routable candidate (e.g. an edge
-                    // failure partitioning hosts): run unmasked over
-                    // broken hardware, SLA forced false.
-                    None => match optimize_in_context(&ctx, scheme, candidates).0 {
-                        Some(c) => (c.result, false, Some(DegradationStage::Unprotected), c.spec),
-                        // Not even the intact fabric routes a rung of the
-                        // ladder: the terminal all-on rung.
-                        None => {
-                            let pick = all_on(Some(DegradationStage::AllOnFallback));
-                            if obs_on {
-                                let stage = pick.2.map_or("-", |d| d.label());
-                                eprons_obs::record(eprons_obs::Event::DegradedEpoch {
-                                    epoch: e as u64,
-                                    reason: "no ladder candidate routes, even unmasked".to_string(),
-                                    fallback: stage.to_string(),
-                                });
-                            }
-                            pick
-                        }
-                    },
-                }
-            }
-            _ => all_on(None),
-        };
-        // --- Online hysteresis: commit the optimizer's reconfiguration
-        // only when the priced transition energy pays back within the
-        // configured horizon AND no toggled switch is still cooling down.
-        // Holding is never allowed to trade an SLA-feasible pick for an
-        // infeasible hold.
-        let mut held_by_hysteresis = false;
-        if let Some(h) = hyst {
-            if degradation.is_none() {
-                if let Some(prev_spec) = h.prev_spec {
-                    if prev_spec != spec {
-                        if let Ok(hold) = ctx.evaluate_masked(scheme, prev_spec, &mask) {
-                            let hold_feasible = hold.is_feasible(cfg);
-                            let churn =
-                                Churn::between(&hold.active_switch_ids, &result.active_switch_ids);
-                            let saving_w = hold.breakdown.total_w() - result.breakdown.total_w();
-                            let transition_j = h.model.transition_energy_j(&churn);
-                            let horizon_s = h.knobs.payback_horizon_epochs as f64 * h.epoch_s;
-                            let pays_back = worth_switching(
-                                &h.model,
-                                &churn,
-                                saving_w,
-                                horizon_s,
-                                h.knobs.margin,
-                            );
-                            // A cooldown hold is anti-flap insurance; it
-                            // is only worth buying while holding is
-                            // cheap — one epoch of the forgone power
-                            // saving must not exceed the transition
-                            // energy the hold avoids re-paying.
-                            let cooling = h.any_cooling(&churn)
-                                && saving_w.max(0.0) * h.epoch_s <= h.knobs.margin * transition_j;
-                            let must_switch = base_feasible && !hold_feasible;
-                            if !must_switch && hold_feasible && (!pays_back || cooling) {
-                                if obs_on {
-                                    eprons_obs::registry()
-                                        .counter("core.hysteresis.holds")
-                                        .inc();
-                                    eprons_obs::record(eprons_obs::Event::HysteresisHold {
-                                        epoch: e as u64,
-                                        desired: spec.label(),
-                                        held: prev_spec.label(),
-                                        saving_w,
-                                        transition_j,
-                                        reason: if cooling { "cooldown" } else { "payback" }
-                                            .to_string(),
-                                    });
-                                }
-                                result = hold;
-                                spec = prev_spec;
-                                base_feasible = hold_feasible;
-                                held_by_hysteresis = true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let mut choice_label = spec.label();
-        let mut rec = DayRecord {
-            minute,
-            search_load: load,
-            background_util: bg,
-            breakdown: result.breakdown,
-            active_switches: result.active_switches,
-            active_switch_ids: result.active_switch_ids.clone(),
-            e2e_p95_s: result.e2e_latency.p95_s,
-            feasible: base_feasible,
-            failed_switches: Vec::new(),
-            boot_energy_j: 0.0,
-            degradation: None,
-            deferred_mbps_min: 0.0,
-            drained_mbps_min: 0.0,
-            held_by_hysteresis,
-        };
-
-        // --- Mid-epoch events: walk the degradation ladder. ---
-        let events = schedule.events_in(start, end);
-        let mut boot_energy_j = 0.0;
-        if !events.is_empty() {
-            let d = &*ctx.data;
-            let policy = DegradationPolicy {
-                attempt_repair: cfg.failure.attempt_repair,
-                attempt_reconsolidate: cfg.failure.attempt_reconsolidate,
-                transition: cfg.failure.transition.clone(),
-            };
-            // The live assignment repairs mutate in place (rung 1).
-            let mut assignment: Option<Assignment> = ctx
-                .plan_masked(spec, &mask)
-                .ok()
-                .map(|p| p.assignment.clone());
-            let active_ids = |a: &Assignment| -> Vec<usize> {
-                d.ft.topology()
-                    .switches()
-                    .into_iter()
-                    .filter(|&n| a.state().node_on(n))
-                    .map(|n| n.0)
-                    .collect()
-            };
-            // Time-weighted power over the segments between events; a
-            // crashed switch's hung draw persists to the epoch boundary.
-            let mut acc_server = 0.0;
-            let mut acc_net = 0.0;
-            let mut cur_server = rec.breakdown.server_w;
-            let mut cur_net = rec.breakdown.network_w;
-            let mut dead_draw_w = 0.0;
-            let mut last_m = start;
-            let mut cur_ids = rec.active_switch_ids.clone();
-            let mut p95 = rec.e2e_p95_s;
-            let mut feasible = rec.feasible;
-            let worsen = |deg: &mut Option<DegradationStage>, stage: DegradationStage| {
-                *deg = Some(deg.map_or(stage, |have| have.max(stage)));
-            };
-            for ev in &events {
-                acc_server += cur_server * (ev.minute - last_m);
-                acc_net += cur_net * (ev.minute - last_m);
-                if obs_on && ev.minute > last_m {
-                    eprons_obs::record(eprons_obs::Event::PowerSegment {
-                        epoch: e as u64,
-                        from_min: last_m,
-                        to_min: ev.minute,
-                        server_w: cur_server,
-                        network_w: cur_net,
-                    });
-                }
-                last_m = ev.minute;
-                match ev.kind {
-                    FailureEventKind::Recover => {
-                        // The switch boots (72.52 s, §IV-B) and rejoins
-                        // the candidate pool at the next epoch boundary;
-                        // routing inside this epoch keeps its mask.
-                        boot_energy_j += policy.recovery_boot_energy_j();
-                        if obs_on {
-                            eprons_obs::record(eprons_obs::Event::RepairOutcome {
-                                switch: ev.switch as u64,
-                                minute: ev.minute,
-                                outcome: "recovered".to_string(),
-                                rerouted: 0,
-                                woken: 1,
-                                boot_energy_j: policy.recovery_boot_energy_j(),
-                            });
-                        }
-                    }
-                    FailureEventKind::Fail => {
-                        if mask.contains(&NodeId(ev.switch)) {
-                            // Already down at the epoch start (an event
-                            // exactly on the boundary shows up in both
-                            // the mask and this window).
-                            continue;
-                        }
-                        mask.push(NodeId(ev.switch));
-                        mask.sort_unstable();
-                        failed_switches.push(ev.switch);
-                        // Rung 1: re-route the victims in place.
-                        let mut handled = false;
-                        if policy.attempt_repair {
-                            if let Some(a) = assignment.as_mut() {
-                                match policy.try_repair(
-                                    a,
-                                    &d.ft,
-                                    &d.flows,
-                                    NodeId(ev.switch),
-                                    &cfg.net_power,
-                                ) {
-                                    Ok(rep) => {
-                                        boot_energy_j += rep.boot_energy_j;
-                                        dead_draw_w += rep.dead_draw_w;
-                                        cur_net =
-                                            a.network_power_w(&d.ft, &cfg.net_power) + dead_draw_w;
-                                        cur_ids = active_ids(a);
-                                        worsen(&mut degradation, DegradationStage::Repaired);
-                                        if obs_on {
-                                            eprons_obs::record(eprons_obs::Event::RepairOutcome {
-                                                switch: ev.switch as u64,
-                                                minute: ev.minute,
-                                                outcome: "repaired".to_string(),
-                                                rerouted: rep.rerouted.len() as u64,
-                                                woken: rep.woken.len() as u64,
-                                                boot_energy_j: rep.boot_energy_j,
-                                            });
-                                        }
-                                        handled = true;
-                                    }
-                                    Err(_) => {
-                                        if obs_on {
-                                            eprons_obs::record(eprons_obs::Event::RepairOutcome {
-                                                switch: ev.switch as u64,
-                                                minute: ev.minute,
-                                                outcome: "repair-failed".to_string(),
-                                                rerouted: 0,
-                                                woken: 0,
-                                                boot_energy_j: 0.0,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        if !handled {
-                            // Rung 2: re-consolidate around the failure;
-                            // rung 3: the all-on spec minus failures.
-                            let rerun: Option<(
-                                ConsolidationSpec,
-                                ClusterRunResult,
-                                bool,
-                                DegradationStage,
-                            )> = (if policy.attempt_reconsolidate {
-                                match strategy {
-                                    DayStrategy::Eprons { candidates } => {
-                                        optimize_in_context_pruned(
-                                            &ctx, scheme, candidates, &mask, None,
-                                        )
-                                        .0
-                                        .map(|c| {
-                                            (
-                                                c.spec,
-                                                c.result,
-                                                c.feasible,
-                                                DegradationStage::Reconsolidated,
-                                            )
-                                        })
-                                    }
-                                    _ => ctx
-                                        .evaluate_masked(scheme, ConsolidationSpec::AllOn, &mask)
-                                        .ok()
-                                        .map(|r| {
-                                            let f = r.is_feasible(cfg);
-                                            (
-                                                ConsolidationSpec::AllOn,
-                                                r,
-                                                f,
-                                                DegradationStage::Reconsolidated,
-                                            )
-                                        }),
-                                }
-                            } else {
-                                None
-                            })
-                            .or_else(|| {
-                                ctx.evaluate_masked(scheme, ConsolidationSpec::AllOn, &mask)
-                                    .ok()
-                                    .map(|r| {
-                                        let f = r.is_feasible(cfg);
-                                        (
-                                            ConsolidationSpec::AllOn,
-                                            r,
-                                            f,
-                                            DegradationStage::AllOnFallback,
-                                        )
-                                    })
-                            });
-                            if let Some((nspec, r, f, stage)) = rerun {
-                                let woken =
-                                    Churn::between(&cur_ids, &r.active_switch_ids).turned_on;
-                                let rung_boot_j = woken.len() as f64
-                                    * policy.transition.boot_power_w
-                                    * policy.transition.power_on_s;
-                                boot_energy_j += rung_boot_j;
-                                // The hung switch keeps drawing until the
-                                // epoch-boundary power cycle.
-                                dead_draw_w += cfg.net_power.switch_w;
-                                cur_server = r.breakdown.server_w;
-                                cur_net = r.breakdown.network_w + dead_draw_w;
-                                cur_ids = r.active_switch_ids.clone();
-                                p95 = p95.max(r.e2e_latency.p95_s);
-                                feasible = feasible && f;
-                                assignment = ctx
-                                    .plan_masked(nspec, &mask)
-                                    .ok()
-                                    .map(|p| p.assignment.clone());
-                                spec = nspec;
-                                choice_label = spec.label();
-                                worsen(&mut degradation, stage);
-                                if obs_on {
-                                    // Journal the rung's boot charge so the
-                                    // audit can reconcile every joule of
-                                    // `boot_energy_j` against RepairOutcome
-                                    // events, whichever rung charged it.
-                                    eprons_obs::record(eprons_obs::Event::RepairOutcome {
-                                        switch: ev.switch as u64,
-                                        minute: ev.minute,
-                                        outcome: stage.label().to_string(),
-                                        rerouted: 0,
-                                        woken: woken.len() as u64,
-                                        boot_energy_j: rung_boot_j,
-                                    });
-                                    eprons_obs::record(eprons_obs::Event::DegradedEpoch {
-                                        epoch: e as u64,
-                                        reason: format!(
-                                            "switch {} failed at minute {:.0}; repair failed",
-                                            ev.switch, ev.minute
-                                        ),
-                                        fallback: stage.label().to_string(),
-                                    });
-                                }
-                            } else {
-                                // Rung 4: nothing routes around the mask.
-                                feasible = false;
-                                worsen(&mut degradation, DegradationStage::Unprotected);
-                                if obs_on {
-                                    eprons_obs::record(eprons_obs::Event::RepairOutcome {
-                                        switch: ev.switch as u64,
-                                        minute: ev.minute,
-                                        outcome: DegradationStage::Unprotected.label().to_string(),
-                                        rerouted: 0,
-                                        woken: 0,
-                                        boot_energy_j: 0.0,
-                                    });
-                                    eprons_obs::record(eprons_obs::Event::DegradedEpoch {
-                                        epoch: e as u64,
-                                        reason: format!(
-                                            "switch {} failed at minute {:.0}; no fallback routes",
-                                            ev.switch, ev.minute
-                                        ),
-                                        fallback: DegradationStage::Unprotected.label().to_string(),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            acc_server += cur_server * (end - last_m);
-            acc_net += cur_net * (end - last_m);
-            if obs_on && end > last_m {
-                eprons_obs::record(eprons_obs::Event::PowerSegment {
-                    epoch: e as u64,
-                    from_min: last_m,
-                    to_min: end,
-                    server_w: cur_server,
-                    network_w: cur_net,
-                });
-            }
-            let span = end - start;
-            rec.breakdown = PowerBreakdown {
-                server_w: acc_server / span,
-                network_w: acc_net / span,
-            };
-            rec.active_switches = cur_ids.len();
-            rec.active_switch_ids = cur_ids;
-            rec.e2e_p95_s = p95;
-            rec.feasible = feasible;
-        }
-        rec.failed_switches = failed_switches;
-        rec.boot_energy_j = boot_energy_j;
-        rec.degradation = degradation;
-        // Clean epochs carry one power segment covering the whole window
-        // (event epochs journaled theirs between events above); together
-        // the segments must integrate to the day energy (`obsctl audit`).
-        if obs_on && events.is_empty() {
-            eprons_obs::record(eprons_obs::Event::PowerSegment {
-                epoch: e as u64,
-                from_min: start,
-                to_min: end,
-                server_w: rec.breakdown.server_w,
-                network_w: rec.breakdown.network_w,
-            });
-        }
-        epoch_span.note(format!(
-            "epoch={e} choice={choice_label} feasible={} degradation={}",
-            rec.feasible,
-            rec.degradation.map_or("-", |d| d.label()),
-        ));
-        if obs_on {
-            eprons_obs::record(eprons_obs::Event::EpochSnapshot(eprons_obs::Snapshot {
-                epoch: e as u64,
-                minute: rec.minute,
-                strategy: strategy.name().to_string(),
-                choice: choice_label,
-                server_w: rec.breakdown.server_w,
-                network_w: rec.breakdown.network_w,
-                active_switches: rec.active_switches as u64,
-                e2e_p95_us: rec.e2e_p95_s * 1.0e6,
-                feasible: rec.feasible,
-                boot_energy_j: rec.boot_energy_j,
-            }));
-        }
-        (rec, spec)
+    let inputs = DayInputs {
+        cfg,
+        strategy,
+        day,
+        schedule,
+        obs_on,
+        day_span_id: day_span.id(),
     };
-
-    // The online streaming controller runs its epochs strictly in
-    // sequence: per-switch cooldowns, the hysteresis filter, and the
-    // deferral queue all carry state across epoch boundaries. The
-    // warm-started batch day also runs sequentially (each search starts
-    // from the previous epoch's winner); the cold batch day fans epochs
-    // out. Candidate- and server-level fan-out inside an epoch fills
-    // the thread budget in every mode, and each mode's timeline is a
-    // deterministic pure function of its inputs.
-    let warm = day.warm_start && matches!(strategy, DayStrategy::Eprons { .. });
-    // Day-scoped incremental runs draw their contexts — evaluation memos
-    // included — from one day-level cache. Only the sequential modes
-    // reuse contexts — the cold parallel branch rebuilds per epoch (that
-    // rebuild *is* the baseline the replay harness measures the
-    // incremental path against).
-    let day_cache = day
-        .day_scope
-        .as_ref()
-        .filter(|ds| ds.incremental)
-        .map(|ds| DayContext::new(cfg, ds.max_slots));
-    let records: Vec<DayRecord> = if let Some(online) = day.online.clone() {
-        let epoch_s = day.epoch_minutes as f64 * 60.0;
-        let mut hyst = online
-            .hysteresis
-            .map(|knobs| HysteresisState::new(knobs, cfg.failure.transition.clone(), epoch_s));
-        let mut queue = online.deferral.map(|knobs| {
-            DeferralQueue::new(knobs, cfg.link_capacity_mbps, day.epoch_minutes as f64)
-        });
-        let mut out = Vec::with_capacity(inputs.len());
-        // The previous winner is always a legal ordering hint here: the
-        // hint can never change a choice, and online epochs are
-        // sequential anyway.
-        let mut hint: Option<ConsolidationSpec> = None;
-        for &(e, minute, load) in &inputs {
-            let step = match queue.as_mut() {
-                Some(q) => q.step(e, predicted_bg[e], obs_on),
-                None => DeferralOutcome {
-                    bg: predicted_bg[e],
-                    enqueued_mbps_min: 0.0,
-                    drained_mbps_min: 0.0,
-                },
-            };
-            let (mut rec, spec) =
-                eval_epoch(e, minute, load, step.bg, hint, hyst.as_mut(), day_cache.as_ref());
-            rec.deferred_mbps_min = step.enqueued_mbps_min;
-            rec.drained_mbps_min = step.drained_mbps_min;
-            if let Some(h) = hyst.as_mut() {
-                h.finish_epoch(spec, &rec.active_switch_ids);
-            }
-            hint = Some(spec);
-            out.push(rec);
-        }
-        if let Some(q) = queue.as_mut() {
-            q.flush(inputs.len(), obs_on);
-        }
-        out
-    } else if warm {
-        let mut out = Vec::with_capacity(inputs.len());
-        // The epoch's world fingerprint: failed-switch set plus the
-        // quantized demand point. A hint only survives while it matches.
-        type EpochFingerprint = (Vec<usize>, i64, i64);
-        let mut prev: Option<(ConsolidationSpec, EpochFingerprint)> = None;
-        for &(e, minute, load) in &inputs {
-            // The hint survives only while the world it was chosen in
-            // does: same failure mask, same (quantized) demand point.
-            let start = (e * day.epoch_minutes) as f64;
-            let util = (day.peak_utilization * load).max(0.02);
-            let q = |x: f64| (x / 0.05).round() as i64;
-            let fp = (schedule.failed_at(start), q(util), q(predicted_bg[e]));
-            let hint = match &prev {
-                Some((spec, pfp)) if *pfp == fp => Some(*spec),
-                _ => None,
-            };
-            if obs_on {
-                let reg = eprons_obs::registry();
-                if let Some(h) = hint {
-                    reg.counter("core.warmstart.hits").inc();
-                    eprons_obs::record(eprons_obs::Event::WarmStartApplied {
-                        epoch: e as u64,
-                        hint: h.label(),
-                    });
-                } else if e > 0 {
-                    reg.counter("core.warmstart.misses").inc();
-                }
-            }
-            let (rec, spec) =
-                eval_epoch(e, minute, load, predicted_bg[e], hint, None, day_cache.as_ref());
-            prev = Some((spec, fp));
-            out.push(rec);
-        }
-        out
+    let mut state = DayState::new(cfg, day);
+    let sequential = day.online.is_some()
+        || state.cache.is_some()
+        || matches!(strategy, DayStrategy::Eprons { .. });
+    let records: Vec<DayRecord> = if sequential {
+        epoch_inputs
+            .iter()
+            .map(|&ep| step(&inputs, &mut state, ep))
+            .collect()
     } else {
-        parallel_map(&inputs, |&(e, minute, load)| {
-            eval_epoch(e, minute, load, predicted_bg[e], None, None, None).0
+        parallel_map(&epoch_inputs, |&ep| {
+            step(&inputs, &mut DayState::default(), ep)
         })
     };
-    if let (true, Some(dc)) = (obs_on, &day_cache) {
-        let s = dc.stats();
-        eprons_obs::record(eprons_obs::Event::DayCacheReport {
-            cache: "core.daycache".to_string(),
-            hits: s.hits,
-            misses: s.misses,
-            evictions: s.evictions,
-            bytes: s.bytes,
-        });
-        eprons_obs::record(eprons_obs::Event::DayCacheReport {
-            cache: "core.evalcache".to_string(),
-            hits: s.eval_hits,
-            misses: s.eval_misses,
-            evictions: 0,
-            bytes: s.eval_bytes,
-        });
-    }
+    state.close(epochs, obs_on);
 
     if obs_on {
         // Epoch-boundary churn: rebuild each epoch's NetworkState from its
@@ -1110,6 +577,496 @@ pub fn simulate_day_with_failures(
     }
     drop(day_span);
     records
+}
+
+/// What every epoch of a day reads and none writes.
+struct DayInputs<'a> {
+    cfg: &'a ClusterConfig,
+    strategy: &'a DayStrategy,
+    day: &'a DayConfig,
+    schedule: &'a FailureSchedule,
+    obs_on: bool,
+    /// The day span each epoch span attaches to.
+    day_span_id: u64,
+}
+
+/// One epoch's exogenous inputs.
+#[derive(Debug, Clone, Copy)]
+struct EpochInput {
+    epoch: usize,
+    /// Epoch midpoint, minutes since midnight.
+    minute: f64,
+    /// Search load at the midpoint, as a fraction of peak.
+    load: f64,
+    /// Background utilization predicted from the previous epoch.
+    predicted_bg: f64,
+}
+
+/// What one epoch hands the next: the online controller's hysteresis and
+/// deferral queue, and the day cache of scenario contexts. The default
+/// is the stateless day, whose epochs may run in any order.
+#[derive(Default)]
+struct DayState {
+    hysteresis: Option<HysteresisState>,
+    deferral: Option<DeferralQueue>,
+    /// Day-scoped incremental runs draw their contexts — evaluation memos
+    /// included — from this cache instead of rebuilding per epoch.
+    cache: Option<DayContext>,
+}
+
+impl DayState {
+    fn new(cfg: &ClusterConfig, day: &DayConfig) -> DayState {
+        let online = day.online.clone().unwrap_or_default();
+        let epoch_s = day.epoch_minutes as f64 * 60.0;
+        DayState {
+            hysteresis: online
+                .hysteresis
+                .map(|knobs| HysteresisState::new(knobs, cfg.failure.transition.clone(), epoch_s)),
+            deferral: online.deferral.map(|knobs| {
+                DeferralQueue::new(knobs, cfg.link_capacity_mbps, day.epoch_minutes as f64)
+            }),
+            cache: day
+                .day_scope
+                .as_ref()
+                .filter(|ds| ds.incremental)
+                .map(|ds| DayContext::new(cfg, ds.max_slots)),
+        }
+    }
+
+    /// End of day: the deferral queue drops what is still queued, and the
+    /// day cache journals its tallies.
+    fn close(mut self, epochs: usize, obs_on: bool) {
+        if let Some(q) = self.deferral.as_mut() {
+            q.flush(epochs, obs_on);
+        }
+        if let (true, Some(dc)) = (obs_on, &self.cache) {
+            let s = dc.stats();
+            eprons_obs::record(eprons_obs::Event::DayCacheReport {
+                cache: "core.daycache".to_string(),
+                hits: s.hits,
+                misses: s.misses,
+                evictions: s.evictions,
+                bytes: s.bytes,
+            });
+            eprons_obs::record(eprons_obs::Event::DayCacheReport {
+                cache: "core.evalcache".to_string(),
+                hits: s.eval_hits,
+                misses: s.eval_misses,
+                evictions: 0,
+                bytes: s.eval_bytes,
+            });
+        }
+    }
+}
+
+/// One control epoch (paper Fig. 7): admit demand through the deferral
+/// queue, pick a configuration, filter it through hysteresis, play the
+/// epoch's failure events, and close the epoch.
+fn step(inputs: &DayInputs, state: &mut DayState, ep: EpochInput) -> DayRecord {
+    let DayInputs {
+        cfg,
+        strategy,
+        day,
+        schedule,
+        obs_on,
+        day_span_id,
+    } = *inputs;
+    let e = ep.epoch;
+    let admitted = match state.deferral.as_mut() {
+        Some(q) => q.step(e, ep.predicted_bg, obs_on),
+        None => DeferralOutcome {
+            bg: ep.predicted_bg,
+            enqueued_mbps_min: 0.0,
+            drained_mbps_min: 0.0,
+        },
+    };
+    let mut epoch_span = eprons_obs::Span::enter_under(day_span_id, "epoch");
+    // Day scope: a constant master seed and grid-quantized demand, so
+    // epochs at the same operating point present bit-identical specs.
+    // The utilization floor rises to one grid step (a zero-query epoch
+    // has no tail to measure); quantization applies on the rebuild
+    // baseline exactly as on the incremental path, which is what makes
+    // the two bit-comparable.
+    let day_scoped = day.day_scope.is_some();
+    let (util, bg) = if day_scoped {
+        (
+            quantize_demand((day.peak_utilization * ep.load).max(0.02)).max(0.05),
+            quantize_demand(admitted.bg),
+        )
+    } else {
+        ((day.peak_utilization * ep.load).max(0.02), admitted.bg)
+    };
+    if obs_on {
+        eprons_obs::record(eprons_obs::Event::EpochStart {
+            epoch: e as u64,
+            minute: ep.minute,
+            search_load: ep.load,
+            background_util: bg,
+        });
+    }
+    let template = ClusterRun {
+        scheme: ServerScheme::EpronsServer,
+        consolidation: ConsolidationSpec::AllOn,
+        server_utilization: util,
+        background_util: bg,
+        duration_s: day.sim_seconds,
+        warmup_s: 0.0,
+        seed: if day_scoped {
+            day.seed
+        } else {
+            day.seed ^ (e as u64).wrapping_mul(0x9E37_79B9)
+        },
+    };
+    let run = match strategy {
+        DayStrategy::NoPowerManagement => ClusterRun {
+            scheme: ServerScheme::NoPowerManagement,
+            ..template
+        },
+        DayStrategy::TimeTrader => ClusterRun {
+            scheme: ServerScheme::TimeTrader,
+            // Let the 5 s feedback loop settle before scoring.
+            warmup_s: 60.0,
+            ..template
+        },
+        DayStrategy::Eprons { .. } => template,
+    };
+    let scheme = run.scheme;
+    // Switches down when the epoch opens are masked out of every
+    // candidate this epoch considers.
+    let mask: Vec<NodeId> = schedule
+        .failed_at((e * day.epoch_minutes) as f64)
+        .into_iter()
+        .map(NodeId)
+        .collect();
+
+    // One scenario context per epoch; the optimizer's candidate ladder
+    // shares it, so each candidate pays only consolidation + latency
+    // sampling + DVFS simulation. A day cache goes further and revives
+    // earlier epochs' contexts (evaluation memo included).
+    let ctx = match &state.cache {
+        Some(dc) => dc.context_for(&ScenarioSpec::of_run(&run)),
+        None => ScenarioContext::for_template(cfg, &run),
+    };
+    // All-on around the mask when it routes (its SLA measured), else
+    // all-on over broken hardware with the SLA forced false.
+    let all_on = |stage: Option<DegradationStage>| {
+        masked_all_on(cfg, &ctx, scheme, &mask, stage).unwrap_or_else(|| EpochPick {
+            result: ctx
+                .evaluate(scheme, ConsolidationSpec::AllOn)
+                .expect("all-on never fails"),
+            feasible: false,
+            degradation: Some(DegradationStage::Unprotected),
+            spec: ConsolidationSpec::AllOn,
+        })
+    };
+    let pick = match strategy {
+        DayStrategy::Eprons { candidates } => {
+            match optimize_in_context_pruned(&ctx, scheme, candidates, &mask).0 {
+                Some(c) => EpochPick::chosen(c, None),
+                // The mask leaves no routable candidate (e.g. an edge
+                // failure partitioning hosts): run unmasked over broken
+                // hardware, SLA forced false.
+                None => match optimize_in_context(&ctx, scheme, candidates).0 {
+                    Some(c) => EpochPick {
+                        feasible: false,
+                        ..EpochPick::chosen(c, Some(DegradationStage::Unprotected))
+                    },
+                    // Not even the intact fabric routes a rung of the
+                    // ladder: the terminal all-on rung.
+                    None => {
+                        let pick = all_on(Some(DegradationStage::AllOnFallback));
+                        if obs_on {
+                            let stage = pick.degradation.map_or("-", |d| d.label());
+                            eprons_obs::record(eprons_obs::Event::DegradedEpoch {
+                                epoch: e as u64,
+                                reason: "no ladder candidate routes, even unmasked".to_string(),
+                                fallback: stage.to_string(),
+                            });
+                        }
+                        pick
+                    }
+                },
+            }
+        }
+        _ => all_on(None),
+    };
+    let held = match &state.hysteresis {
+        Some(h) if pick.degradation.is_none() => h.hold(cfg, &ctx, scheme, &mask, &pick, e),
+        _ => None,
+    };
+    let held_by_hysteresis = held.is_some();
+    let EpochPick {
+        result,
+        feasible,
+        degradation,
+        mut spec,
+    } = held.unwrap_or(pick);
+    let mut rec = DayRecord {
+        minute: ep.minute,
+        search_load: ep.load,
+        background_util: bg,
+        breakdown: result.breakdown,
+        active_switches: result.active_switches,
+        active_switch_ids: result.active_switch_ids,
+        e2e_p95_s: result.e2e_latency.p95_s,
+        feasible,
+        failed_switches: mask.iter().map(|n| n.0).collect(),
+        boot_energy_j: 0.0,
+        degradation,
+        deferred_mbps_min: admitted.enqueued_mbps_min,
+        drained_mbps_min: admitted.drained_mbps_min,
+        held_by_hysteresis,
+    };
+    play_events(inputs, &ctx, scheme, e, mask, &mut spec, &mut rec);
+
+    let choice = spec.label();
+    epoch_span.note(format!(
+        "epoch={e} choice={choice} feasible={} degradation={}",
+        rec.feasible,
+        rec.degradation.map_or("-", |d| d.label()),
+    ));
+    if obs_on {
+        eprons_obs::record(eprons_obs::Event::EpochSnapshot(eprons_obs::Snapshot {
+            epoch: e as u64,
+            minute: rec.minute,
+            strategy: strategy.name().to_string(),
+            choice,
+            server_w: rec.breakdown.server_w,
+            network_w: rec.breakdown.network_w,
+            active_switches: rec.active_switches as u64,
+            e2e_p95_us: rec.e2e_p95_s * 1.0e6,
+            feasible: rec.feasible,
+            boot_energy_j: rec.boot_energy_j,
+        }));
+    }
+    drop(epoch_span);
+    if let Some(h) = state.hysteresis.as_mut() {
+        h.finish_epoch(spec, &rec.active_switch_ids);
+    }
+    rec
+}
+
+/// All-on around the mask with its SLA measured, marked with `stage`;
+/// `None` when the mask leaves all-on unroutable.
+fn masked_all_on(
+    cfg: &ClusterConfig,
+    ctx: &ScenarioContext,
+    scheme: ServerScheme,
+    mask: &[NodeId],
+    stage: Option<DegradationStage>,
+) -> Option<EpochPick> {
+    let result = ctx
+        .evaluate_masked(scheme, ConsolidationSpec::AllOn, mask)
+        .ok()?;
+    Some(EpochPick {
+        feasible: result.is_feasible(cfg),
+        result,
+        degradation: stage,
+        spec: ConsolidationSpec::AllOn,
+    })
+}
+
+/// Plays epoch `e`'s switch events against the configuration `spec`
+/// chosen for it, folding them into `rec` and leaving in `spec` the
+/// configuration live at the epoch's end. `mask` holds the switches down
+/// at the epoch start.
+///
+/// A clean epoch journals one power segment covering its window. A
+/// mid-epoch failure walks the degradation ladder: (1) re-route the
+/// victims in place, (2) re-consolidate around the failure, (3) all-on
+/// around the failure, (4) run unprotected with `feasible` forced false.
+/// Power is time-weighted over the segments between events; together the
+/// segments integrate to the day energy (`obsctl audit`).
+fn play_events(
+    inputs: &DayInputs,
+    ctx: &ScenarioContext,
+    scheme: ServerScheme,
+    e: usize,
+    mut mask: Vec<NodeId>,
+    spec: &mut ConsolidationSpec,
+    rec: &mut DayRecord,
+) {
+    let DayInputs {
+        cfg,
+        strategy,
+        day,
+        schedule,
+        obs_on,
+        ..
+    } = *inputs;
+    let start = (e * day.epoch_minutes) as f64;
+    let end = start + day.epoch_minutes as f64;
+    let segment = |from_min: f64, to_min: f64, server_w: f64, network_w: f64| {
+        if obs_on && to_min > from_min {
+            eprons_obs::record(eprons_obs::Event::PowerSegment {
+                epoch: e as u64,
+                from_min,
+                to_min,
+                server_w,
+                network_w,
+            });
+        }
+    };
+    let events = schedule.events_in(start, end);
+    if events.is_empty() {
+        segment(start, end, rec.breakdown.server_w, rec.breakdown.network_w);
+        return;
+    }
+    // Every joule of `boot_energy_j` is journaled with the rung that
+    // charged it, so the audit can reconcile them.
+    let repair_outcome =
+        |ev: &FailureEvent, outcome: &str, rerouted: usize, woken: usize, boot_energy_j: f64| {
+            if obs_on {
+                eprons_obs::record(eprons_obs::Event::RepairOutcome {
+                    switch: ev.switch as u64,
+                    minute: ev.minute,
+                    outcome: outcome.to_string(),
+                    rerouted: rerouted as u64,
+                    woken: woken as u64,
+                    boot_energy_j,
+                });
+            }
+        };
+    let degraded = |ev: &FailureEvent, why: &str, stage: DegradationStage| {
+        if obs_on {
+            eprons_obs::record(eprons_obs::Event::DegradedEpoch {
+                epoch: e as u64,
+                reason: format!(
+                    "switch {} failed at minute {:.0}; {why}",
+                    ev.switch, ev.minute
+                ),
+                fallback: stage.label().to_string(),
+            });
+        }
+    };
+    let worsen = |deg: &mut Option<DegradationStage>, stage: DegradationStage| {
+        *deg = Some(deg.map_or(stage, |have| have.max(stage)));
+    };
+    let d = &*ctx.data;
+    let policy = DegradationPolicy {
+        attempt_repair: cfg.failure.attempt_repair,
+        attempt_reconsolidate: cfg.failure.attempt_reconsolidate,
+        transition: cfg.failure.transition.clone(),
+    };
+    let active_ids = |a: &Assignment| -> Vec<usize> {
+        d.ft.topology()
+            .switches()
+            .into_iter()
+            .filter(|&n| a.state().node_on(n))
+            .map(|n| n.0)
+            .collect()
+    };
+    // The live assignment repairs mutate in place (rung 1).
+    let mut assignment: Option<Assignment> = ctx
+        .plan_masked(*spec, &mask)
+        .ok()
+        .map(|p| p.assignment.clone());
+    let mut acc_server = 0.0;
+    let mut acc_net = 0.0;
+    let mut cur_server = rec.breakdown.server_w;
+    let mut cur_net = rec.breakdown.network_w;
+    // A crashed switch's hung draw persists to the epoch boundary.
+    let mut dead_draw_w = 0.0;
+    let mut last_m = start;
+    for ev in &events {
+        acc_server += cur_server * (ev.minute - last_m);
+        acc_net += cur_net * (ev.minute - last_m);
+        segment(last_m, ev.minute, cur_server, cur_net);
+        last_m = ev.minute;
+        if ev.kind == FailureEventKind::Recover {
+            // The switch boots (72.52 s, §IV-B) and rejoins the candidate
+            // pool at the next epoch boundary; routing inside this epoch
+            // keeps its mask.
+            rec.boot_energy_j += policy.recovery_boot_energy_j();
+            repair_outcome(ev, "recovered", 0, 1, policy.recovery_boot_energy_j());
+            continue;
+        }
+        if mask.contains(&NodeId(ev.switch)) {
+            // Already down at the epoch start (an event exactly on the
+            // boundary shows up in both the mask and this window).
+            continue;
+        }
+        mask.push(NodeId(ev.switch));
+        mask.sort_unstable();
+        rec.failed_switches.push(ev.switch);
+        // Rung 1: re-route the victims in place.
+        if let (true, Some(a)) = (policy.attempt_repair, assignment.as_mut()) {
+            match policy.try_repair(a, &d.ft, &d.flows, NodeId(ev.switch), &cfg.net_power) {
+                Ok(rep) => {
+                    rec.boot_energy_j += rep.boot_energy_j;
+                    dead_draw_w += rep.dead_draw_w;
+                    cur_net = a.network_power_w(&d.ft, &cfg.net_power) + dead_draw_w;
+                    rec.active_switch_ids = active_ids(a);
+                    worsen(&mut rec.degradation, DegradationStage::Repaired);
+                    repair_outcome(
+                        ev,
+                        "repaired",
+                        rep.rerouted.len(),
+                        rep.woken.len(),
+                        rep.boot_energy_j,
+                    );
+                    continue;
+                }
+                Err(_) => repair_outcome(ev, "repair-failed", 0, 0, 0.0),
+            }
+        }
+        // Rung 2: re-consolidate around the failure; rung 3: all-on
+        // around it. The all-on strategies re-consolidate to all-on.
+        let reconsolidated = Some(DegradationStage::Reconsolidated);
+        let fallback = Some(DegradationStage::AllOnFallback);
+        let rerun = match strategy {
+            DayStrategy::Eprons { candidates } => policy
+                .attempt_reconsolidate
+                .then(|| optimize_in_context_pruned(ctx, scheme, candidates, &mask).0)
+                .flatten()
+                .map(|c| EpochPick::chosen(c, reconsolidated))
+                .or_else(|| masked_all_on(cfg, ctx, scheme, &mask, fallback)),
+            _ if policy.attempt_reconsolidate => {
+                masked_all_on(cfg, ctx, scheme, &mask, reconsolidated)
+            }
+            _ => masked_all_on(cfg, ctx, scheme, &mask, fallback),
+        };
+        let Some(rerun) = rerun else {
+            // Rung 4: nothing routes around the mask.
+            let stage = DegradationStage::Unprotected;
+            rec.feasible = false;
+            worsen(&mut rec.degradation, stage);
+            repair_outcome(ev, stage.label(), 0, 0, 0.0);
+            degraded(ev, "no fallback routes", stage);
+            continue;
+        };
+        let stage = rerun.degradation.expect("a rerun names its rung");
+        let r = rerun.result;
+        let woken = Churn::between(&rec.active_switch_ids, &r.active_switch_ids).turned_on;
+        let rung_boot_j =
+            woken.len() as f64 * policy.transition.boot_power_w * policy.transition.power_on_s;
+        rec.boot_energy_j += rung_boot_j;
+        // The hung switch keeps drawing until the epoch-boundary power
+        // cycle.
+        dead_draw_w += cfg.net_power.switch_w;
+        cur_server = r.breakdown.server_w;
+        cur_net = r.breakdown.network_w + dead_draw_w;
+        rec.active_switch_ids = r.active_switch_ids;
+        rec.e2e_p95_s = rec.e2e_p95_s.max(r.e2e_latency.p95_s);
+        rec.feasible = rec.feasible && rerun.feasible;
+        assignment = ctx
+            .plan_masked(rerun.spec, &mask)
+            .ok()
+            .map(|p| p.assignment.clone());
+        *spec = rerun.spec;
+        worsen(&mut rec.degradation, stage);
+        repair_outcome(ev, stage.label(), 0, woken.len(), rung_boot_j);
+        degraded(ev, "repair failed", stage);
+    }
+    acc_server += cur_server * (end - last_m);
+    acc_net += cur_net * (end - last_m);
+    segment(last_m, end, cur_server, cur_net);
+    let span = end - start;
+    rec.breakdown = PowerBreakdown {
+        server_w: acc_server / span,
+        network_w: acc_net / span,
+    };
+    rec.active_switches = rec.active_switch_ids.len();
 }
 
 /// Reconfiguration churn between consecutive epochs of a day timeline.

@@ -346,8 +346,7 @@ fn mark_candidate_intersection(
 /// [`optimize_in_context_masked`] with lower-bound pruning and
 /// best-first candidate ordering — same winner, fewer simulations.
 ///
-/// Candidates are evaluated cheapest-bound-first (`warm_hint`, typically
-/// the previous epoch's winner, jumps the queue), and once a feasible
+/// Candidates are evaluated cheapest-bound-first, and once a feasible
 /// incumbent exists every remaining candidate whose
 /// [`candidate_power_floor_w`] *strictly* exceeds the incumbent's
 /// measured total is skipped: its measurement could only come in above
@@ -362,23 +361,17 @@ fn mark_candidate_intersection(
 /// in original candidate order, reproducing the exhaustive `min_by`
 /// tie-breaking. When nothing is feasible, no pruning has happened (an
 /// incumbent is a precondition), so the least-bad fallback also matches.
-/// The hint affects evaluation order only, never the result.
 pub fn optimize_in_context_pruned(
     ctx: &ScenarioContext,
     scheme: crate::cluster::ServerScheme,
     candidates: &[ConsolidationSpec],
     excluded: &[eprons_topo::NodeId],
-    warm_hint: Option<ConsolidationSpec>,
 ) -> (Option<JointChoice>, Vec<(ConsolidationSpec, ClusterError)>) {
     let cfg = ctx.cfg();
     let obs_on = eprons_obs::enabled();
     let mut search_span = eprons_obs::Span::enter("optimizer.search");
     if obs_on {
-        search_span.note(format!(
-            "mode=pruned candidates={} warm={}",
-            candidates.len(),
-            warm_hint.is_some()
-        ));
+        search_span.note(format!("mode=pruned candidates={}", candidates.len()));
     }
     // Leaf span: bound computation is the search's only serial work of
     // note, so give the flame view a frame for it.
@@ -404,12 +397,6 @@ pub fn optimize_in_context_pruned(
             .expect("power bounds are finite")
             .then(i.cmp(&j))
     });
-    if let Some(hint) = warm_hint {
-        if let Some(pos) = order.iter().position(|&i| candidates[i] == hint) {
-            let i = order.remove(pos);
-            order.insert(0, i);
-        }
-    }
 
     let mut measured: Vec<Option<(ClusterRunResult, bool)>> =
         (0..candidates.len()).map(|_| None).collect();

@@ -1128,6 +1128,7 @@ impl ServerEvaluation {
             power: cfg.cpu.clone(),
             decision_overhead_s: 30.0e-6,
             measure_from_s: d.warmup_s,
+            cores: 1,
         };
         if obs_on {
             eprons_obs::registry()

@@ -7,7 +7,9 @@
 
 use eprons_core::controller::{day_total_energy_j, DayConfig};
 use eprons_core::optimizer::aggregation_candidates;
-use eprons_core::{set_thread_budget, simulate_day, ClusterConfig, DayRecord, DayStrategy};
+use eprons_core::{
+    set_thread_budget, simulate_day, ClusterConfig, DayRecord, DayStrategy, OnlineConfig,
+};
 
 fn quick_day() -> DayConfig {
     DayConfig {
@@ -61,35 +63,34 @@ fn day_timeline_is_deterministic_given_seed() {
 }
 
 #[test]
-fn warm_started_day_matches_cold_day_bit_for_bit() {
-    // PR-5 golden pin: epoch-to-epoch warm starting is an evaluation-order
-    // hint, never a result change. A day simulated with `warm_start: true`
-    // (sequential epochs, previous winner hinted forward) must reproduce
-    // the cold day (`warm_start: false`, parallel epochs, no hints) in
-    // every record bit and in total energy.
+fn sequential_day_matches_fanned_out_day_bit_for_bit() {
+    // Every epoch runs through the one day step, whether the epochs go in
+    // sequence or fan out across the thread budget. A TimeTrader batch
+    // day fans out; the same day under an online controller with
+    // hysteresis and deferral off runs in sequence and adds no behavior,
+    // so it must reproduce the fanned-out day in every record bit and in
+    // total energy.
     let cfg = ClusterConfig::default();
-    let strategy = DayStrategy::Eprons {
-        candidates: aggregation_candidates(),
-    };
-    let warm_day = quick_day();
-    let cold_day = DayConfig {
-        warm_start: false,
+    let strategy = DayStrategy::TimeTrader;
+    let fanned_day = quick_day();
+    let sequential_day = DayConfig {
+        online: Some(OnlineConfig::default()),
         ..quick_day()
     };
-    let warm = simulate_day(&cfg, &strategy, &warm_day);
-    let cold = simulate_day(&cfg, &strategy, &cold_day);
-    assert_eq!(warm.len(), cold.len());
-    for (w, c) in warm.iter().zip(&cold) {
+    let fanned = simulate_day(&cfg, &strategy, &fanned_day);
+    let sequential = simulate_day(&cfg, &strategy, &sequential_day);
+    assert_eq!(sequential.len(), fanned.len());
+    for (s, f) in sequential.iter().zip(&fanned) {
         assert_eq!(
-            record_bits(w),
-            record_bits(c),
-            "epoch at minute {} diverged between warm and cold days",
-            w.minute
+            record_bits(s),
+            record_bits(f),
+            "epoch at minute {} diverged between sequential and fanned-out days",
+            s.minute
         );
     }
-    let warm_j = day_total_energy_j(&warm, &warm_day);
-    let cold_j = day_total_energy_j(&cold, &cold_day);
-    assert_eq!(warm_j.to_bits(), cold_j.to_bits());
+    let sequential_j = day_total_energy_j(&sequential, &sequential_day);
+    let fanned_j = day_total_energy_j(&fanned, &fanned_day);
+    assert_eq!(sequential_j.to_bits(), fanned_j.to_bits());
 }
 
 #[test]

@@ -312,6 +312,62 @@ fn constant_day_pins_cache_counter_arithmetic() {
     }
 }
 
+/// A day cache serves every epoch of a day whatever its strategy: a
+/// TimeTrader day under the default (incremental) day scope asks the
+/// cache once per epoch, and reproduces the per-epoch rebuild day bit
+/// for bit.
+#[test]
+fn timetrader_day_draws_every_epoch_from_its_day_cache() {
+    let _guard = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = ClusterConfig::default();
+    let incremental_day = DayConfig {
+        epoch_minutes: 240,
+        sim_seconds: 1.0,
+        peak_utilization: 0.5,
+        seed: 99,
+        warm_start: true,
+        day_scope: Some(DayScopeConfig::default()),
+        ..DayConfig::default()
+    };
+    let baseline_day = DayConfig {
+        day_scope: Some(DayScopeConfig {
+            incremental: false,
+            ..DayScopeConfig::default()
+        }),
+        ..incremental_day.clone()
+    };
+    let epochs = 1440 / incremental_day.epoch_minutes;
+    eprons_obs::set_enabled(true);
+    let mark = eprons_obs::journal().len();
+    let incremental = simulate_day(&cfg, &DayStrategy::TimeTrader, &incremental_day);
+    let report = eprons_obs::journal().snapshot()[mark..]
+        .iter()
+        .find_map(|e| match &e.event {
+            eprons_obs::Event::DayCacheReport {
+                cache,
+                hits,
+                misses,
+                ..
+            } if cache == "core.daycache" => Some((*hits, *misses)),
+            _ => None,
+        });
+    eprons_obs::set_enabled(false);
+    let (hits, misses) = report.expect("an incremental day reports its day cache");
+    assert_eq!(
+        hits + misses,
+        epochs as u64,
+        "every epoch must draw its context from the day cache"
+    );
+    let baseline = simulate_day(&cfg, &DayStrategy::TimeTrader, &baseline_day);
+    assert_days_bit_identical(
+        "timetrader",
+        &baseline,
+        &incremental,
+        &baseline_day,
+        &incremental_day,
+    );
+}
+
 /// The k=16 bit-identity golden (the replay harness's scale, coarse
 /// epochs). Expensive, so ignored by default; CI runs it in release
 /// mode via `cargo test --release --test day_incremental -- --ignored`.

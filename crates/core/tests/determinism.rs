@@ -196,16 +196,15 @@ fn with_sla_reuses_the_build_without_changing_the_physics() {
 
 #[test]
 fn pruned_warm_sweep_matches_exhaustive_cold_sweep_bit_for_bit() {
-    // The golden pin of the warm-started search: the warm path (shared
-    // context and evaluation memo, bound-ordered pruned sweep, optional
-    // ordering hint) must pick the same candidate with the same float
-    // bits as the cold path (a fresh context, exhaustive sweep) — for
-    // every server scheme over
-    // the full aggregation ladder, and for a GreedyK ladder. Pruning may
-    // only skip candidates whose *sound* power lower bound strictly
-    // exceeds a feasible incumbent's measured total, and hints only
-    // reorder evaluation, so the chosen spec, feasibility flag, and every
-    // number in the winning result must be identical.
+    // The golden pin of the warm search: the warm path (shared context
+    // and evaluation memo, bound-ordered pruned sweep) must pick the same
+    // candidate with the same float bits as the cold path (a fresh
+    // context, exhaustive sweep) — for every server scheme over the full
+    // aggregation ladder, and for a GreedyK ladder. Pruning may only skip
+    // candidates whose *sound* power lower bound strictly exceeds a
+    // feasible incumbent's measured total, so the chosen spec,
+    // feasibility flag, and every number in the winning result must be
+    // identical.
     let cfg = ClusterConfig::default();
     let template = short_run(ServerScheme::EpronsServer, ConsolidationSpec::AllOn);
     let ladder: Vec<ConsolidationSpec> = std::iter::once(ConsolidationSpec::AllOn)
@@ -225,12 +224,10 @@ fn pruned_warm_sweep_matches_exhaustive_cold_sweep_bit_for_bit() {
             let cold_ctx = ScenarioContext::build(&cfg, &ScenarioSpec::of_run(&template));
             let (cold, cold_fail) = optimize_in_context_masked(&cold_ctx, scheme, candidates, &[]);
             let ctx = ScenarioContext::build(&cfg, &ScenarioSpec::of_run(&template));
-            // Hints are ordering advice: correct, wrong, and absent hints
-            // must all reproduce the cold sweep exactly.
-            let hints = [None, Some(candidates[0]), cold.as_ref().map(|c| c.spec)];
-            for hint in hints {
-                let (warm, warm_fail) =
-                    optimize_in_context_pruned(&ctx, scheme, candidates, &[], hint);
+            // The first sweep fills the evaluation memo; the second is
+            // served from it. Both must reproduce the cold sweep exactly.
+            for _ in 0..2 {
+                let (warm, warm_fail) = optimize_in_context_pruned(&ctx, scheme, candidates, &[]);
                 match (&cold, &warm) {
                     (Some(c), Some(w)) => {
                         assert_eq!(c.spec, w.spec, "{}: spec diverged", scheme.name());
@@ -300,8 +297,7 @@ fn pruning_skips_dominated_candidates_at_light_load() {
         .chain(AggregationLevel::ALL.map(ConsolidationSpec::Level))
         .collect();
     let (cold, _) = optimize_in_context_masked(&ctx, ServerScheme::EpronsServer, &candidates, &[]);
-    let (warm, _) =
-        optimize_in_context_pruned(&ctx, ServerScheme::EpronsServer, &candidates, &[], None);
+    let (warm, _) = optimize_in_context_pruned(&ctx, ServerScheme::EpronsServer, &candidates, &[]);
     let (cold, warm) = (cold.unwrap(), warm.unwrap());
     assert_eq!(cold.spec, warm.spec);
     assert_eq!(result_bits(&cold.result), result_bits(&warm.result));

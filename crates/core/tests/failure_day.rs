@@ -10,7 +10,7 @@ use eprons_core::controller::{day_total_energy_j, DayConfig};
 use eprons_core::optimizer::aggregation_candidates;
 use eprons_core::{
     set_thread_budget, simulate_day, simulate_day_with_failures, ClusterConfig, DayRecord,
-    DayStrategy, FailureEvent, FailureEventKind, FailureSchedule,
+    DayStrategy, FailureEvent, FailureEventKind, FailureSchedule, OnlineConfig,
 };
 use eprons_topo::FatTree;
 
@@ -157,4 +157,37 @@ fn degraded_epoch_stays_protected_and_costs_boot_energy() {
             assert_eq!(record_bits(b), record_bits(d));
         }
     }
+}
+
+#[test]
+fn online_day_without_hysteresis_or_deferral_matches_the_batch_day() {
+    // The online controller runs the same epoch step as the batch loop;
+    // only hysteresis and deferral add behavior. With both off it must
+    // reproduce the batch day bit for bit, failure epoch included.
+    let cfg = ClusterConfig::default();
+    let batch_day = quick_day();
+    let online_day = DayConfig {
+        online: Some(OnlineConfig::default()),
+        ..quick_day()
+    };
+    let schedule = midday_core_failure(&cfg);
+    let batch = simulate_day_with_failures(&cfg, &eprons(), &batch_day, &schedule);
+    let online = simulate_day_with_failures(&cfg, &eprons(), &online_day, &schedule);
+    assert_eq!(batch.len(), online.len());
+    assert!(batch.iter().any(|r| r.degradation.is_some()));
+    for (b, o) in batch.iter().zip(&online) {
+        assert_eq!(
+            record_bits(b),
+            record_bits(o),
+            "epoch at minute {} diverged between online and batch days",
+            b.minute
+        );
+        assert_eq!(o.deferred_mbps_min, 0.0);
+        assert_eq!(o.drained_mbps_min, 0.0);
+        assert!(!o.held_by_hysteresis);
+    }
+    assert_eq!(
+        day_total_energy_j(&batch, &batch_day).to_bits(),
+        day_total_energy_j(&online, &online_day).to_bits()
+    );
 }

@@ -1,4 +1,4 @@
-//! Per-core discrete-event simulation driving a DVFS policy.
+//! Discrete-event ISN simulation driving a DVFS policy.
 //!
 //! Mirrors the paper's search-engine simulator (§V-A): requests arrive with
 //! per-request deadlines, the policy re-selects the frequency at every
@@ -6,6 +6,13 @@
 //! `t_fixed + work / f` with the in-flight request re-scaled when the
 //! frequency changes, and a power meter integrates busy/idle core power
 //! into energy.
+//!
+//! The paper's ISNs are 12-core CPUs (§V-A), but its power scheme is
+//! per-core, so the cluster simulates one core per ISN. The same loop runs
+//! `c` cores sharing one queue ([`CoreSimConfig::cores`]) to check that
+//! approximation: a pooled M/G/c queue waits less than one M/G/1 core at
+//! equal per-core load, so the one-core model is conservative. Dedicated
+//! per-core queues need no mode of their own: they are `c` one-core runs.
 
 use eprons_sim::{EnergyMeter, SimRng};
 
@@ -30,6 +37,9 @@ pub struct CoreSimConfig {
     /// feedback policies (TimeTrader's 5 s period) reach steady state
     /// before being scored.
     pub measure_from_s: f64,
+    /// Cores sharing the request queue (at least 1). The cluster runs the
+    /// per-core model, 1.
+    pub cores: usize,
 }
 
 impl Default for CoreSimConfig {
@@ -39,6 +49,7 @@ impl Default for CoreSimConfig {
             power: CpuPowerModel::default(),
             decision_overhead_s: 30.0e-6,
             measure_from_s: 0.0,
+            cores: 1,
         }
     }
 }
@@ -65,6 +76,19 @@ struct Inflight {
     tag: u64,
 }
 
+/// One core's state.
+struct Core {
+    inflight: Option<Inflight>,
+    freq: f64,
+    /// Whether the core was idle (possibly asleep) before the current
+    /// event.
+    was_idle: bool,
+    /// Metering starts at the measurement window; power set before then
+    /// is held in `pending_w` and becomes the meter's initial level.
+    meter: Option<EnergyMeter>,
+    pending_w: f64,
+}
+
 /// Simulation outcome.
 #[derive(Debug, Clone)]
 pub struct CoreSimResult {
@@ -80,10 +104,13 @@ pub struct CoreSimResult {
     pub sim_end_s: f64,
     /// Start of the measurement window (warmup excluded), seconds.
     pub measure_start_s: f64,
-    /// Core energy consumed within the measurement window, joules.
+    /// Energy of all cores within the measurement window, joules.
     pub energy_j: f64,
-    /// Busy (serving) time within the measurement window, seconds.
+    /// Busy (serving) time of all cores within the measurement window,
+    /// seconds.
     pub busy_s: f64,
+    /// Cores simulated.
+    pub cores: usize,
 }
 
 impl CoreSimResult {
@@ -92,21 +119,21 @@ impl CoreSimResult {
         (self.sim_end_s - self.measure_start_s).max(0.0)
     }
 
-    /// Average core power over the measurement window, watts.
+    /// Average power per core over the measurement window, watts.
     pub fn avg_core_power_w(&self) -> f64 {
         let span = self.measured_span_s();
         if span > 0.0 {
-            self.energy_j / span
+            self.energy_j / span / self.cores as f64
         } else {
             0.0
         }
     }
 
-    /// Core utilization (busy fraction of the measurement window).
+    /// Per-core utilization (busy fraction of the measurement window).
     pub fn utilization(&self) -> f64 {
         let span = self.measured_span_s();
         if span > 0.0 {
-            self.busy_s / span
+            self.busy_s / span / self.cores as f64
         } else {
             0.0
         }
@@ -145,13 +172,21 @@ impl CoreSimResult {
     }
 }
 
-/// Runs one core through an arrival trace under a policy.
+/// Runs an ISN's cores through an arrival trace under a policy.
 ///
 /// `arrivals` must be sorted by arrival time. Works are sampled from the
 /// engine's service model using `seed`, so a run is fully reproducible.
 ///
+/// The cores share one queue, ordered by the policy's EDF flag; a free
+/// core takes the queue's head. Every core re-selects its own frequency
+/// at every event (per-core DVFS, as on the paper's hardware), seeing its
+/// in-flight request plus the shared backlog thinned to every `c`-th
+/// request: with `c` servers draining it, position `i` is served after
+/// about `i / c` rounds. Only a core waking from idle pays the policy's
+/// wake latency.
+///
 /// # Panics
-/// Panics if arrivals are unsorted.
+/// Panics if `cfg.cores == 0` or the arrivals are unsorted.
 pub fn simulate_core(
     policy: &mut dyn DvfsPolicy,
     engine: &mut VpEngine,
@@ -159,6 +194,7 @@ pub fn simulate_core(
     cfg: &CoreSimConfig,
     seed: u64,
 ) -> CoreSimResult {
+    assert!(cfg.cores > 0, "need at least one core");
     assert!(
         arrivals
             .windows(2)
@@ -168,19 +204,20 @@ pub fn simulate_core(
     let mut rng = SimRng::seed_from_u64(seed);
     let fixed_s = engine.service().fixed_s();
     let measure_from = cfg.measure_from_s.max(0.0);
+    let idle_w = policy.idle_power_w().unwrap_or(cfg.power.core_idle_w());
 
     let mut waiting: Vec<Pending> = Vec::new();
-    let mut inflight: Option<Inflight> = None;
-    let mut cur_f = cfg.ladder.max();
+    let mut cores: Vec<Core> = (0..cfg.cores)
+        .map(|_| Core {
+            inflight: None,
+            freq: cfg.ladder.max(),
+            was_idle: true,
+            meter: None,
+            pending_w: idle_w,
+        })
+        .collect();
     let mut last_t = 0.0_f64;
-    // Metering starts at the measurement window; power set before then is
-    // held as "pending" and becomes the meter's initial level.
-    let mut meter: Option<EnergyMeter> = None;
-    let idle_w = policy.idle_power_w().unwrap_or(cfg.power.core_idle_w());
-    let mut pending_w = idle_w;
     let mut busy_s = 0.0_f64;
-    // Whether the core was idle (possibly asleep) before the current event.
-    let mut was_idle = true;
 
     let mut latencies = Vec::with_capacity(arrivals.len());
     let mut budgets = Vec::with_capacity(arrivals.len());
@@ -192,115 +229,114 @@ pub fn simulate_core(
     let mut freq_transitions = 0u64;
     let mut decisions = 0u64;
 
-    // Advances in-flight progress (and busy-time accounting) to `t`.
-    let advance =
-        |fl: &mut Option<Inflight>, last_t: &mut f64, busy: &mut f64, cur_f: f64, t: f64| {
-            let dt = t - *last_t;
-            if let Some(f) = fl.as_mut() {
+    let mut next_arrival = 0usize;
+    loop {
+        // Next event: the earliest completion (lowest core on ties) or
+        // the next arrival, which wins ties.
+        let mut comp: Option<(usize, f64)> = None;
+        for (i, c) in cores.iter().enumerate() {
+            if let Some(fl) = &c.inflight {
+                let at = last_t + fl.rem_fixed_s + fl.rem_work_gc / c.freq;
+                if comp.is_none_or(|(_, t)| at < t) {
+                    comp = Some((i, at));
+                }
+            }
+        }
+        let arr_at = arrivals.get(next_arrival).map(|a| a.arrival_s);
+        let (t, completing) = match (arr_at, comp) {
+            (None, None) => break,
+            (Some(a), None) => (a, None),
+            (None, Some((i, c))) => (c, Some(i)),
+            (Some(a), Some((i, c))) => {
+                if a <= c {
+                    (a, None)
+                } else {
+                    (c, Some(i))
+                }
+            }
+        };
+        // Advance in-flight progress (and busy-time accounting) to `t`.
+        let dt = t - last_t;
+        for c in cores.iter_mut() {
+            if let Some(f) = c.inflight.as_mut() {
                 // Busy time counts only within the measurement window.
-                *busy += (t - last_t.max(measure_from)).max(0.0).min(dt);
+                busy_s += (t - last_t.max(measure_from)).max(0.0).min(dt);
                 let eat_fixed = dt.min(f.rem_fixed_s);
                 f.rem_fixed_s -= eat_fixed;
                 let work_time = dt - eat_fixed;
-                let cycles = work_time * cur_f;
+                let cycles = work_time * c.freq;
                 let done = cycles.min(f.rem_work_gc);
                 f.rem_work_gc -= done;
                 f.done_work_gc += done;
             }
-            *last_t = t;
-        };
+        }
+        last_t = t;
 
-    let completion_time =
-        |fl: &Inflight, t: f64, f_ghz: f64| -> f64 { t + fl.rem_fixed_s + fl.rem_work_gc / f_ghz };
-
-    let mut next_arrival = 0usize;
-    loop {
-        let comp_at = inflight
-            .as_ref()
-            .map(|fl| completion_time(fl, last_t, cur_f));
-        let arr_at = arrivals.get(next_arrival).map(|a| a.arrival_s);
-        let (t, is_arrival) = match (arr_at, comp_at) {
-            (None, None) => break,
-            (Some(a), None) => (a, true),
-            (None, Some(c)) => (c, false),
-            (Some(a), Some(c)) => {
-                if a <= c {
-                    (a, true)
-                } else {
-                    (c, false)
+        match completing {
+            None => {
+                let spec = arrivals[next_arrival];
+                next_arrival += 1;
+                let work = engine.service().sample_work(&mut rng);
+                waiting.push(Pending {
+                    arrival: spec.arrival_s,
+                    budget: spec.budget_s,
+                    deadline: spec.deadline(),
+                    work_gc: work,
+                    tag: spec.tag,
+                });
+            }
+            Some(i) => {
+                let fl = cores[i].inflight.take().expect("completion on a busy core");
+                if fl.arrival >= measure_from {
+                    latencies.push(t - fl.arrival);
+                    budgets.push(fl.budget);
+                    tags.push(fl.tag);
+                    arrival_times.push(fl.arrival);
                 }
+                policy.on_completion(t, t - fl.arrival, fl.budget);
             }
-        };
-        advance(&mut inflight, &mut last_t, &mut busy_s, cur_f, t);
-
-        if is_arrival {
-            let spec = arrivals[next_arrival];
-            next_arrival += 1;
-            let work = engine.service().sample_work(&mut rng);
-            waiting.push(Pending {
-                arrival: spec.arrival_s,
-                budget: spec.budget_s,
-                deadline: spec.deadline(),
-                work_gc: work,
-                tag: spec.tag,
-            });
-        } else {
-            let fl = inflight.take().expect("completion without in-flight");
-            if fl.arrival >= measure_from {
-                latencies.push(t - fl.arrival);
-                budgets.push(fl.budget);
-                tags.push(fl.tag);
-                arrival_times.push(fl.arrival);
-            }
-            policy.on_completion(t, t - fl.arrival, fl.budget);
         }
 
-        // Dispatch the next request if the core is free.
-        let woke_from_idle = was_idle;
-        if inflight.is_none() && !waiting.is_empty() {
-            let idx = if policy.reorders_edf() {
-                waiting
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| {
-                        a.deadline
-                            .partial_cmp(&b.deadline)
-                            .expect("deadlines are finite")
-                    })
-                    .map(|(i, _)| i)
-                    .expect("non-empty")
-            } else {
-                0
-            };
-            let p = waiting.remove(idx);
-            // A core woken from deep sleep pays the wake latency as extra
-            // frequency-independent time on the first request.
-            let wake = if woke_from_idle {
-                policy.wake_latency_s()
-            } else {
-                0.0
-            };
-            inflight = Some(Inflight {
-                arrival: p.arrival,
-                budget: p.budget,
-                deadline: p.deadline,
-                rem_work_gc: p.work_gc,
-                done_work_gc: 0.0,
-                rem_fixed_s: fixed_s + wake,
-                tag: p.tag,
-            });
-        }
-        was_idle = inflight.is_none();
-
-        // Decision instant: assemble processing-order deadlines.
-        let mut deadlines: Vec<f64> = Vec::with_capacity(waiting.len() + 1);
-        let head = inflight.as_ref().map(|fl| {
-            deadlines.push(fl.deadline);
-            InflightHead {
-                done_work_gc: fl.done_work_gc,
-                rem_fixed_s: fl.rem_fixed_s,
+        // Every free core takes the next waiting request.
+        for c in cores.iter_mut() {
+            if c.inflight.is_none() && !waiting.is_empty() {
+                let idx = if policy.reorders_edf() {
+                    waiting
+                        .iter()
+                        .enumerate()
+                        .min_by(|(_, a), (_, b)| {
+                            a.deadline
+                                .partial_cmp(&b.deadline)
+                                .expect("deadlines are finite")
+                        })
+                        .map(|(i, _)| i)
+                        .expect("non-empty")
+                } else {
+                    0
+                };
+                let p = waiting.remove(idx);
+                // A core woken from deep sleep pays the wake latency as
+                // extra frequency-independent time on the first request.
+                let wake = if c.was_idle {
+                    policy.wake_latency_s()
+                } else {
+                    0.0
+                };
+                c.inflight = Some(Inflight {
+                    arrival: p.arrival,
+                    budget: p.budget,
+                    deadline: p.deadline,
+                    rem_work_gc: p.work_gc,
+                    done_work_gc: 0.0,
+                    rem_fixed_s: fixed_s + wake,
+                    tag: p.tag,
+                });
             }
-        });
+            c.was_idle = c.inflight.is_none();
+        }
+
+        // Decision instant: the backlog in processing order, then each
+        // core's deadlines — its head plus its share of the backlog.
         let mut rest: Vec<&Pending> = waiting.iter().collect();
         if policy.reorders_edf() {
             rest.sort_by(|a, b| {
@@ -309,32 +345,43 @@ pub fn simulate_core(
                     .expect("deadlines are finite")
             });
         }
-        deadlines.extend(rest.iter().map(|p| p.deadline));
+        for c in cores.iter_mut() {
+            let mut deadlines: Vec<f64> = Vec::with_capacity(waiting.len() + 1);
+            let head = c.inflight.as_ref().map(|fl| {
+                deadlines.push(fl.deadline);
+                InflightHead {
+                    done_work_gc: fl.done_work_gc,
+                    rem_fixed_s: fl.rem_fixed_s,
+                }
+            });
+            deadlines.extend(rest.iter().step_by(cfg.cores).map(|p| p.deadline));
 
-        let dec = if policy.needs_model() {
-            engine.decision(t + cfg.decision_overhead_s, head, &deadlines)
-        } else {
-            // Feedback / fixed policies never read the model: hand them an
-            // empty decision and skip the convolutions.
-            engine.decision(t, None, &[])
-        };
-        let new_f = policy.choose_frequency(t, &dec, &cfg.ladder);
-        decisions += 1;
-        if new_f != cur_f {
-            freq_transitions += 1;
-        }
-        cur_f = new_f;
-        let w = if inflight.is_some() {
-            cfg.power.core_busy_w(cur_f)
-        } else {
-            idle_w
-        };
-        if t < measure_from {
-            pending_w = w;
-        } else {
-            meter
-                .get_or_insert_with(|| EnergyMeter::new(measure_from, pending_w))
-                .set_power(t, w);
+            let dec = if policy.needs_model() {
+                engine.decision(t + cfg.decision_overhead_s, head, &deadlines)
+            } else {
+                // Feedback / fixed policies never read the model: hand
+                // them an empty decision and skip the convolutions.
+                engine.decision(t, None, &[])
+            };
+            let new_f = policy.choose_frequency(t, &dec, &cfg.ladder);
+            decisions += 1;
+            if new_f != c.freq {
+                freq_transitions += 1;
+            }
+            c.freq = new_f;
+            let w = if c.inflight.is_some() {
+                cfg.power.core_busy_w(c.freq)
+            } else {
+                idle_w
+            };
+            if t < measure_from {
+                c.pending_w = w;
+            } else {
+                let pending_w = c.pending_w;
+                c.meter
+                    .get_or_insert_with(|| EnergyMeter::new(measure_from, pending_w))
+                    .set_power(t, w);
+            }
         }
     }
 
@@ -346,14 +393,18 @@ pub fn simulate_core(
             policy: policy.name().to_string(),
             transitions: freq_transitions,
             decisions,
-            final_ghz: cur_f,
+            final_ghz: cores[0].freq,
         });
     }
 
     let sim_end = last_t.max(measure_from);
-    let energy_j = meter
-        .unwrap_or_else(|| EnergyMeter::new(measure_from, pending_w))
-        .energy_until(sim_end);
+    let energy_j = cores
+        .iter()
+        .map(|c| match &c.meter {
+            Some(m) => m.energy_until(sim_end),
+            None => EnergyMeter::new(measure_from, c.pending_w).energy_until(sim_end),
+        })
+        .sum();
     CoreSimResult {
         latencies,
         budgets,
@@ -363,6 +414,7 @@ pub fn simulate_core(
         measure_start_s: measure_from,
         energy_j,
         busy_s,
+        cores: cfg.cores,
     }
 }
 
@@ -393,7 +445,9 @@ pub fn poisson_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{AvgVpPolicy, MaxFreqPolicy, MaxVpPolicy, TimeTraderPolicy};
+    use crate::policy::{
+        AvgVpPolicy, DeepSleepPolicy, MaxFreqPolicy, MaxVpPolicy, TimeTraderPolicy,
+    };
     use crate::service::ServiceModel;
     use eprons_num::Pmf;
 
@@ -719,5 +773,142 @@ mod tests {
             &CoreSimConfig::default(),
             0,
         );
+    }
+
+    /// The shared-queue tests' service model.
+    fn pooled_service(seed: u64) -> ServiceModel {
+        let mut rng = SimRng::seed_from_u64(seed);
+        ServiceModel::synthetic_xapian(&mut rng, 15_000, 128)
+    }
+
+    fn with_cores(cores: usize) -> CoreSimConfig {
+        CoreSimConfig {
+            cores,
+            ..CoreSimConfig::default()
+        }
+    }
+
+    #[test]
+    fn one_core_reproduces_the_per_core_simulator_bit_for_bit() {
+        // The cluster simulates one core per ISN, so every cluster golden
+        // rests on these bits: per policy family (fixed, model-driven,
+        // feedback, deep sleep with its wake latency), with and without a
+        // warmup window, the request count and the bits of the latency
+        // sum, energy, busy time and end time.
+        let svc = pooled_service(70);
+        let mean_t = svc.mean_service_time(2.7);
+        let mut rng = SimRng::seed_from_u64(71);
+        let arrivals = poisson_trace(&mut rng, 0.5 / mean_t, 60.0, 0.030);
+        const GOLDEN: &str = "\
+            0 no-power-management 6597 4048b1e57e78be80 4065a4e863c303ea 403dbbce847c3704 404dfba86a8389b4
+            0 eprons-server 6597 405a4700302fb2ea 405b912940e27d95 404794c0b47854cc 404dfd0647ed01c0
+            0 timetrader 6597 405100d00f0ea0ac 4061b2853afb7b9d 404145bf42c4a237 404dfbbe1bf79f55
+            0 deep-sleep 6597 4058fb9abb269535 40585e9c93056f88 4047a0107b62024f 404dfcbe683d9a82
+            10 no-power-management 5499 4044e549810b01d7 40620e4d059e3bc0 4038d4dadec4ca25 404dfba86a8389b4
+            10 eprons-server 5499 4055fbd562553440 40571537d4ababef 4043a89bbf4edb1b 404dfd0647ed01c0
+            10 timetrader 5499 404e1d7736121616 405c622097dfb961 403d916d27fe6e90 404dfbbe1bf79f55
+            10 deep-sleep 5499 4054f074c22e857d 40546cabe7d37026 4043b5347bd2b506 404dfcbe683d9a82";
+        for row in GOLDEN.lines() {
+            let f: Vec<&str> = row.split_whitespace().collect();
+            let (measure_from, name) = (f[0].parse::<f64>().unwrap(), f[1]);
+            let cfg = CoreSimConfig {
+                measure_from_s: measure_from,
+                ..with_cores(1)
+            };
+            let mut policy: Box<dyn DvfsPolicy> = match name {
+                "no-power-management" => Box::new(MaxFreqPolicy),
+                "eprons-server" => Box::new(AvgVpPolicy::eprons()),
+                "timetrader" => Box::new(TimeTraderPolicy::new(0.030, cfg.ladder.len())),
+                _ => Box::new(DeepSleepPolicy::new()),
+            };
+            assert_eq!(policy.name(), name);
+            let mut engine = VpEngine::new(svc.clone());
+            let r = simulate_core(policy.as_mut(), &mut engine, &arrivals, &cfg, 72);
+            let latency_sum: f64 = r.latencies.iter().sum();
+            let got = [latency_sum, r.energy_j, r.busy_s, r.sim_end_s].map(f64::to_bits);
+            let want: Vec<u64> = f[3..]
+                .iter()
+                .map(|h| u64::from_str_radix(h, 16).unwrap())
+                .collect();
+            assert_eq!(r.latencies.len().to_string(), f[2], "{row}");
+            assert_eq!(got.to_vec(), want, "{row}: one-core run drifted");
+        }
+    }
+
+    #[test]
+    fn pooling_cuts_queueing_at_equal_per_core_load() {
+        // 4 cores at 4× the arrival rate vs 1 core: the pooled queue waits
+        // less (M/M/c beats c × M/M/1).
+        let svc = pooled_service(73);
+        let mean_t = svc.mean_service_time(2.7);
+        let per_core_util = 0.6;
+        let mut rng = SimRng::seed_from_u64(74);
+        let one = poisson_trace(&mut rng, per_core_util / mean_t, 120.0, 0.030);
+        let mut rng = SimRng::seed_from_u64(74);
+        let four = poisson_trace(&mut rng, 4.0 * per_core_util / mean_t, 120.0, 0.030);
+
+        let mut e1 = VpEngine::new(svc.clone());
+        let r1 = simulate_core(&mut MaxFreqPolicy, &mut e1, &one, &with_cores(1), 75);
+        let mut e4 = VpEngine::new(svc);
+        let r4 = simulate_core(&mut MaxFreqPolicy, &mut e4, &four, &with_cores(4), 75);
+        let m1 = r1.mean_latency().unwrap();
+        let m4 = r4.mean_latency().unwrap();
+        assert!(
+            m4 < m1,
+            "pooled 4-core latency {m4} should beat single-core {m1}"
+        );
+    }
+
+    #[test]
+    fn single_core_model_is_conservative_for_eprons() {
+        // The cluster simulator's 1-core-per-ISN approximation must be an
+        // upper bound: the pooled server meets deadlines at least as
+        // easily.
+        let svc = pooled_service(76);
+        let mean_t = svc.mean_service_time(2.7);
+        let mut rng = SimRng::seed_from_u64(77);
+        let single_trace = poisson_trace(&mut rng, 0.4 / mean_t, 90.0, 0.025);
+        let mut rng = SimRng::seed_from_u64(77);
+        let pooled_trace = poisson_trace(&mut rng, 4.0 * 0.4 / mean_t, 90.0, 0.025);
+
+        let mut e1 = VpEngine::new(svc.clone());
+        let mut p1 = AvgVpPolicy::eprons();
+        let approx = simulate_core(&mut p1, &mut e1, &single_trace, &with_cores(1), 78);
+        let mut e2 = VpEngine::new(svc);
+        let mut p2 = AvgVpPolicy::eprons();
+        let pooled = simulate_core(&mut p2, &mut e2, &pooled_trace, &with_cores(4), 78);
+        assert!(
+            pooled.miss_rate().unwrap() <= approx.miss_rate().unwrap() + 0.02,
+            "pooled misses {} vs per-core model {}",
+            pooled.miss_rate().unwrap(),
+            approx.miss_rate().unwrap()
+        );
+    }
+
+    #[test]
+    fn all_requests_complete_across_cores() {
+        let svc = pooled_service(79);
+        let cfg = with_cores(12);
+        let mut rng = SimRng::seed_from_u64(80);
+        let arrivals = poisson_trace(&mut rng, 300.0, 10.0, 0.030);
+        let n = arrivals.len();
+        let mut e = VpEngine::new(svc);
+        let mut p = AvgVpPolicy::eprons();
+        let r = simulate_core(&mut p, &mut e, &arrivals, &cfg, 81);
+        assert_eq!(r.latencies.len(), n);
+        let mut tags = r.tags.clone();
+        tags.sort();
+        tags.dedup();
+        assert_eq!(tags.len(), n);
+        assert_eq!(r.cores, 12);
+        assert!(r.avg_core_power_w() >= cfg.power.core_idle_w() - 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one core")]
+    fn zero_cores_rejected() {
+        let svc = pooled_service(82);
+        let mut e = VpEngine::new(svc);
+        simulate_core(&mut MaxFreqPolicy, &mut e, &[], &with_cores(0), 0);
     }
 }

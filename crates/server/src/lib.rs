@@ -22,16 +22,15 @@
 //! * [`policy`] — [`policy::MaxFreqPolicy`] (no power management),
 //!   [`policy::MaxVpPolicy`] (Rubik / Rubik+), [`policy::AvgVpPolicy`]
 //!   (EPRONS-Server), [`policy::TimeTraderPolicy`] (5 s feedback).
-//! * [`coresim`] — the per-core discrete-event simulator that drives a
-//!   policy with an arrival trace and accounts latency and energy.
-//! * [`multicore`] — the shared-queue 12-core variant, used to validate
-//!   that the per-core model is a conservative approximation.
+//! * [`coresim`] — the discrete-event ISN simulator that drives a policy
+//!   with an arrival trace and accounts latency and energy, for one core
+//!   or `c` cores sharing a queue (the latter validates that the per-core
+//!   model is a conservative approximation).
 
 #![warn(missing_docs)]
 
 pub mod coresim;
 pub mod freq;
-pub mod multicore;
 pub mod policy;
 pub mod power;
 pub mod request;
@@ -40,7 +39,6 @@ pub mod vp;
 
 pub use coresim::{simulate_core, CoreSimConfig, CoreSimResult};
 pub use freq::FreqLadder;
-pub use multicore::{simulate_multicore, MultiCoreResult};
 pub use policy::{
     AvgVpPolicy, DeepSleepPolicy, DvfsPolicy, MaxFreqPolicy, MaxVpPolicy, TimeTraderPolicy,
 };
